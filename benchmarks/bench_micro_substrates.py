@@ -30,7 +30,7 @@ def t4s():
 @pytest.mark.benchmark(group="micro")
 def test_micro_sequence_pair_packing(benchmark, t4s):
     planner = EnumerativeFloorplanner(t4s, EFAConfig())
-    dims = [planner._dims_by_code[i][0] for i in range(4)]
+    dims = [planner._frame.dims_by_code[i][0] for i in range(4)]
     minus = (2, 0, 3, 1)
     rank_plus = [0, 1, 2, 3]
     benchmark(planner._pack, minus, rank_plus, dims)

@@ -196,10 +196,13 @@ def _spec_flow_t4s() -> Tuple[Dict[str, float], Dict[str, Any], Dict]:
 def _spec_sa_t4m() -> Tuple[Dict[str, float], Dict[str, Any], Dict]:
     """SA move loop on t4m (the delta-HPWL hot path).
 
-    Identity pins the accepted-cost trajectory, not just the winner:
-    ``floorplans_evaluated`` is the move count and ``est_wl`` the final
-    cost — both must be bit-identical whether delta evaluation is on,
-    off (``SAConfig.incremental=False``) or force-disabled via
+    Identity: ``est_wl`` is the best legal cost the anneal visited, so
+    it moves with any change to the accepted trajectory;
+    ``floorplans_evaluated`` is the move count, fixed by the schedule in
+    an unbudgeted run.  Both must be bit-identical whether the shared
+    annealer's delta evaluation is on (``SAConfig.incremental``, the
+    default; ``BTreeSAConfig`` inherits it), off
+    (``incremental=False``) or force-disabled via
     ``REPRO_SA_FULL_EVAL=1``.  Only the ``floorplan.sa`` stage time may
     move, which is exactly what the compare gate watches: running this
     spec under ``REPRO_SA_FULL_EVAL=1`` against a delta-eval baseline

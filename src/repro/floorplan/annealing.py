@@ -1,13 +1,16 @@
-"""Simulated-annealing floorplanner (the baseline EFA is compared against).
+"""Simulated-annealing floorplanners (the baseline EFA is compared against).
 
 Section 3 of the paper motivates EFA by noting it beats an SA-based
-floorplanner; this module provides that baseline.  The SA state is a
-sequence pair plus an orientation vector; moves are the classic
-sequence-pair perturbations (swap in gamma_plus, swap in gamma_minus, swap
-in both, rotate one die).  Candidates are packed, centred and scored with
-the same swollen-dimension HPWL machinery EFA uses, with an overflow
-penalty for arrangements that do not fit the interposer, so SA can travel
-through illegal space but never returns an illegal result.
+floorplanner; this module provides that baseline.  :class:`Annealer` is
+the one annealing engine: candidates are packed, centred and scored
+with the same swollen-dimension HPWL machinery EFA uses, with an
+overflow penalty for arrangements that do not fit the interposer, so SA
+can travel through illegal space but never returns an illegal result.
+
+A representation supplies only what differs: its initial state, its
+move set, its pack-cache key and its packer.  Here that is the
+sequence pair (moves: swap in gamma_plus, swap in gamma_minus, swap in
+both, rotate one die); :mod:`repro.floorplan.btree` is the other one.
 """
 
 from __future__ import annotations
@@ -16,22 +19,20 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Hashable, List, Optional, Tuple
 
 import numpy as np
 
-from ..geometry import ALL_ORIENTATIONS, Orientation, Point
-from ..model import Design, Floorplan, Placement
+from ..model import Design, Floorplan
 from ..obs import Progress, get_logger, record_incumbent, span
-from ..seqpair import SequencePair
 from .base import (
     FloorplanResult,
+    PackingFrame,
     SearchStats,
-    TimeBudget,
     validate_sa_schedule,
 )
 from .batch import pack_indices
-from .estimator import FastHpwlEvaluator, orientation_code
+from .estimator import FastHpwlEvaluator
 from .incremental import (
     DEFAULT_CROSS_CHECK_EVERY,
     IncrementalHpwl,
@@ -41,25 +42,28 @@ from .incremental import (
 
 _EPS = 1e-9
 
+# A sequence-pair state: (gamma_plus, gamma_minus) as die-index tuples.
+SeqPairState = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
 # Entries kept in the packed-result cache.  SA revisits states far
 # beyond its immediate neighborhood (a few-die design has only hundreds
-# to thousands of distinct (sequence pair, shape) keys, and the anneal
-# crosses them repeatedly), and an entry is just a key plus two tiny
-# arrays, so the bound is sized for whole-run reuse rather than a single
+# to thousands of distinct (state, shape) keys, and the anneal crosses
+# them repeatedly), and an entry is just a key plus two tiny arrays, so
+# the bound is sized for whole-run reuse rather than a single
 # neighborhood.  At the limit the *oldest* entry is evicted — dict order
 # is insertion order — so the hot recent states survive instead of
 # being wiped wholesale mid-anneal.
 _PACK_CACHE_LIMIT = 4096
 
-# Orientation vectors seen recently, mapped to their (codes array,
-# shape key) pair so the hot move loop never rebuilds either from enum
-# lookups.  Same bounded oldest-first policy as the pack cache.
-_ORIENT_CACHE_LIMIT = 256
+# Orientation-code vectors seen recently, mapped to their (codes array,
+# shape key) pair so the hot move loop never rebuilds either.  Same
+# bounded oldest-first policy as the pack cache.
+_CODE_CACHE_LIMIT = 256
 
-# For the rotate move: every orientation except the current one.
-_OTHER_ORIENTS = {
-    o: tuple(p for p in ALL_ORIENTATIONS if p is not o)
-    for o in ALL_ORIENTATIONS
+# For the rotate move: every orientation code except the current one.
+# Codes follow ALL_ORIENTATIONS order (see ``orientation_code``).
+_OTHER_CODES = {
+    c: tuple(x for x in range(4) if x != c) for c in range(4)
 }
 
 logger = get_logger("floorplan.sa")
@@ -85,6 +89,18 @@ def _distinct_pair(rng: random.Random, n: int) -> Tuple[int, int]:
     return i, j
 
 
+def _rotate_one(rng: random.Random, codes: Tuple[int, ...]) -> Tuple[int, ...]:
+    """``codes`` with one random die turned to another orientation."""
+    i = _rand_index(rng, len(codes))
+    rotated = list(codes)
+    rotated[i] = _OTHER_CODES[rotated[i]][_rand_index(rng, 3)]
+    return tuple(rotated)
+
+
+def _no_op() -> None:
+    pass
+
+
 @dataclass
 class SAConfig:
     """Annealing schedule parameters (defaults tuned for <= 8 dies)."""
@@ -105,8 +121,9 @@ class SAConfig:
     cross_check_every: int = DEFAULT_CROSS_CHECK_EVERY
 
     def __post_init__(self) -> None:
+        name = type(self).__name__
         validate_sa_schedule(
-            "SAConfig",
+            name,
             initial_acceptance=self.initial_acceptance,
             cooling=self.cooling,
             moves_per_temperature=self.moves_per_temperature,
@@ -115,51 +132,50 @@ class SAConfig:
         )
         if self.cross_check_every < 0:
             raise ValueError(
-                "SAConfig.cross_check_every must be >= 0, got "
+                f"{name}.cross_check_every must be >= 0, got "
                 f"{self.cross_check_every!r}"
             )
 
 
-class AnnealingFloorplanner:
-    """SA over (sequence pair, orientation vector) states."""
+class Annealer:
+    """SA over (representation state, orientation-code tuple) states.
+
+    Subclasses name themselves — ``algorithm`` (result label and
+    incumbent source), ``span_name`` (span, progress and metric prefix),
+    and, when not the sequence-pair defaults, ``log`` and
+    ``config_type`` — and implement the representation:
+
+    * ``_initial_state(rng)``: the starting state (it may draw from
+      ``rng``; it is built before the first evaluation);
+    * ``_neighbor(rng, state, codes)`` -> ``(state, codes)``: one move.
+      States are values: a move returns a new state, or the same object
+      when it leaves the state alone, and never mutates its input, so
+      the loop keeps its best state without copying;
+    * ``_pack_key(state, shape_key)``: the pack-cache key;
+    * ``_pack(state, dims)`` -> ``(xs, ys, width, height)``: the packer,
+      over swollen per-die dims in die-index order.
+    """
+
+    algorithm = ""
+    span_name = ""
+    log = logger
+    config_type = SAConfig
 
     def __init__(self, design: Design, config: Optional[SAConfig] = None):
         self.design = design
-        self.config = config or SAConfig()
+        self.config = config or self.config_type()
         self.evaluator = FastHpwlEvaluator(design)
         self._die_ids = self.evaluator.die_ids
-        c_d = design.spacing.die_to_die
-        c_b = design.spacing.die_to_boundary
-        self._half_cd = c_d / 2.0
-        self._avail_w = design.interposer.width - 2 * c_b + c_d
-        self._avail_h = design.interposer.height - 2 * c_b + c_d
-        self._dims = {
-            die.id: {
-                o: tuple(
-                    v + c_d for v in o.rotated_dims(die.width, die.height)
-                )
-                for o in ALL_ORIENTATIONS
-            }
-            for die in design.dies
-        }
-        self._center = design.interposer.center
-        # Index-space mirrors of the above for the cached packing path:
-        # orientation codes 0/2 (R0/R180) share a footprint, as do 1/3
-        # (R90/R270), so the packed result is keyed by ``code & 1``.
-        self._die_index = {d: i for i, d in enumerate(self._die_ids)}
-        self._shape_dims = [
-            [
-                self._dims[d][Orientation.R0],
-                self._dims[d][Orientation.R90],
-            ]
-            for d in self._die_ids
-        ]
+        self.frame = PackingFrame(design)
         self._pack_cache: dict = {}
-        self._orient_cache: dict = {}
+        self._code_cache: dict = {}
         self.pack_cache_hits = 0
         self.pack_cache_misses = 0
-        # Delta HPWL evaluation (bit-identical; see incremental.py).
+        # ``_score`` prices a candidate; ``_accept`` adopts the last one
+        # as the delta-eval reference (nothing to adopt under full
+        # evaluation).  Delta HPWL is bit-identical; see incremental.py.
         self._inc: Optional[IncrementalHpwl] = None
+        self._score, self._accept = self.evaluator.hpwl, _no_op
         if (
             self.config.incremental
             and not full_eval_forced()
@@ -169,47 +185,40 @@ class AnnealingFloorplanner:
                 self.evaluator,
                 resolve_cross_check_every(self.config.cross_check_every),
             )
+            self._score, self._accept = self._inc.propose, self._inc.accept
 
-    # -- state evaluation ---------------------------------------------------------
+    # -- state evaluation -----------------------------------------------------
 
     def _packed(
-        self, sp: SequencePair, shape_key: Tuple[int, ...]
-    ) -> Tuple[np.ndarray, np.ndarray, float, float]:
+        self, state, shape_key: Tuple[int, ...]
+    ) -> Tuple[np.ndarray, np.ndarray, float]:
         """Pack and centre a state, reusing the cached result when only
-        shapes match.
+        shapes match; returns ``(die_x, die_y, overflow)``.
 
         A 180-degree orientation flip changes terminal positions but not
-        the die footprint, so the longest-path packing — the expensive
-        half of a move evaluation — is keyed by the sequence pair plus
-        each die's shape class (``orientation_code & 1``), not the full
-        orientation vector.  SA's rotate move therefore re-scores HPWL
-        without re-packing half the time.  The cached entry holds the
-        *centred* global die-origin arrays (the centring offset is a pure
-        function of the packed extent), so cache hits hand the evaluator
-        the very same array objects — which the incremental evaluator's
-        identity fast path recognizes as unmoved dies.
+        the die footprint, so the packing — the expensive half of a move
+        evaluation — is keyed by the state plus each die's shape class
+        (``orientation_code & 1``), not the full orientation vector.
+        The rotate move therefore re-scores HPWL without re-packing half
+        the time.  The cached entry holds the *centred* global die-origin
+        arrays (the centring offset is a pure function of the packed
+        extent), so cache hits hand the evaluator the very same array
+        objects — which the incremental evaluator's identity fast path
+        recognizes as unmoved dies.
         """
-        key = (sp.plus, sp.minus, shape_key)
+        key = self._pack_key(state, shape_key)
         cached = self._pack_cache.get(key)
         if cached is not None:
             self.pack_cache_hits += 1
             return cached
         self.pack_cache_misses += 1
-        minus = [self._die_index[d] for d in sp.minus]
-        rank_plus = [0] * len(minus)
-        for rank, d in enumerate(sp.plus):
-            rank_plus[self._die_index[d]] = rank
-        dims = [
-            self._shape_dims[i][s] for i, s in enumerate(shape_key)
-        ]
-        xs, ys, width, height = pack_indices(minus, rank_plus, dims)
-        off_x = self._center.x - width / 2.0 + self._half_cd
-        off_y = self._center.y - height / 2.0 + self._half_cd
+        frame = self.frame
+        xs, ys, width, height = self._pack(state, frame.dims(shape_key))
+        off_x, off_y = frame.offsets(width, height)
         entry = (
             np.asarray(xs) + off_x,
             np.asarray(ys) + off_y,
-            width,
-            height,
+            frame.overflow(width, height),
         )
         if len(self._pack_cache) >= _PACK_CACHE_LIMIT:
             # Bounded oldest-first eviction (insertion order): keeps the
@@ -218,101 +227,64 @@ class AnnealingFloorplanner:
         self._pack_cache[key] = entry
         return entry
 
-    def _orient_entry(
-        self, orient_vec: Tuple[Orientation, ...]
+    def _code_entry(
+        self, codes: Tuple[int, ...]
     ) -> Tuple[np.ndarray, Tuple[int, ...]]:
-        """(codes array, shape key) of an orientation vector, cached."""
-        entry = self._orient_cache.get(orient_vec)
-        if entry is None:
-            codes = np.asarray(
-                [orientation_code(o) for o in orient_vec], dtype=np.int64
-            )
-            entry = (codes, tuple(int(c) & 1 for c in codes))
-            if len(self._orient_cache) >= _ORIENT_CACHE_LIMIT:
-                self._orient_cache.pop(next(iter(self._orient_cache)))
-            self._orient_cache[orient_vec] = entry
+        """(codes array, shape key) of a code vector, cached."""
+        entry = (
+            np.asarray(codes, dtype=np.int64),
+            tuple(c & 1 for c in codes),
+        )
+        if len(self._code_cache) >= _CODE_CACHE_LIMIT:
+            self._code_cache.pop(next(iter(self._code_cache)))
+        self._code_cache[codes] = entry
         return entry
 
-    def _evaluate(
-        self, sp: SequencePair, orient_vec: Tuple[Orientation, ...]
-    ) -> Tuple[float, bool]:
+    def _evaluate(self, state, codes: Tuple[int, ...]) -> Tuple[float, bool]:
         """(cost, legal) of one state; cost folds in outline overflow."""
-        codes, shape_key = self._orient_entry(orient_vec)
-        die_x, die_y, width, height = self._packed(sp, shape_key)
-        overflow = max(width - self._avail_w, 0.0) + max(
-            height - self._avail_h, 0.0
-        )
-        if self._inc is not None:
-            wl = self._inc.propose(die_x, die_y, codes)
-        else:
-            wl = self.evaluator.hpwl(die_x, die_y, codes)
-        legal = overflow <= _EPS
-        return wl + self.config.overflow_penalty * overflow, legal
+        entry = self._code_cache.get(codes) or self._code_entry(codes)
+        codes_arr, shape_key = entry
+        die_x, die_y, overflow = self._packed(state, shape_key)
+        wl = self._score(die_x, die_y, codes_arr)
+        return wl + self.config.overflow_penalty * overflow, overflow <= _EPS
 
-    def _commit(self) -> None:
-        """Adopt the last evaluated candidate as the delta-eval reference
-        (no-op under full evaluation)."""
-        if self._inc is not None:
-            self._inc.accept()
-
-    def _neighbor(
-        self,
-        rng: random.Random,
-        sp: SequencePair,
-        orient_vec: Tuple[Orientation, ...],
-    ) -> Tuple[SequencePair, Tuple[Orientation, ...]]:
-        n = len(self._die_ids)
-        move = _rand_index(rng, 4) if n > 1 else 3
-        if move == 3:
-            # Rotate one die: the sequence pair is untouched, so return
-            # the same object — downstream caches key on it by identity.
-            i = _rand_index(rng, n)
-            orients = list(orient_vec)
-            others = _OTHER_ORIENTS[orients[i]]
-            orients[i] = others[_rand_index(rng, 3)]
-            return sp, tuple(orients)
-        plus: List[str] = list(sp.plus)
-        minus: List[str] = list(sp.minus)
-        if move in (0, 2):
-            i, j = _distinct_pair(rng, n)
-            plus[i], plus[j] = plus[j], plus[i]
-        if move in (1, 2):
-            i, j = _distinct_pair(rng, n)
-            minus[i], minus[j] = minus[j], minus[i]
-        # Swaps of a valid pair stay valid: skip the permutation checks.
-        return SequencePair.unchecked(tuple(plus), tuple(minus)), orient_vec
-
-    # -- driver ---------------------------------------------------------------------
+    # -- driver ---------------------------------------------------------------
 
     def run(self) -> FloorplanResult:
         """Anneal and return the best legal floorplan found."""
-        with span("floorplan.sa") as sp:
-            result = self._run()
+        with span(self.span_name) as sp:
+            result = self._anneal()
         sp.annotate(
             est_wl=result.est_wl if result.found else None,
             moves=result.stats.floorplans_evaluated,
             timed_out=result.stats.timed_out,
         )
-        result.stats.publish(prefix="floorplan.sa")
+        result.stats.publish(prefix=self.span_name)
         return result
 
-    def _run(self) -> FloorplanResult:
+    def _anneal(self) -> FloorplanResult:
         cfg = self.config
+        name = self.algorithm
         rng = random.Random(cfg.seed)
-        budget = TimeBudget(cfg.time_budget_s)
         stats = SearchStats()
-        start = time.monotonic()
+        clock = time.monotonic
+        start = clock()
+        # The budget is checked on every move, so it is a bare deadline
+        # compare rather than a TimeBudget property call.
+        deadline = math.inf
+        if cfg.time_budget_s is not None:
+            deadline = start + cfg.time_budget_s
+        neighbor = self._neighbor
+        evaluate = self._evaluate
+        commit = self._accept
 
-        ids = tuple(self._die_ids)
-        sp = SequencePair(ids, ids)
-        orient_vec: Tuple[Orientation, ...] = tuple(
-            Orientation.R0 for _ in ids
-        )
-        cost, legal = self._evaluate(sp, orient_vec)
-        self._commit()
+        state = self._initial_state(rng)
+        codes = (0,) * len(self._die_ids)
+        cost, legal = evaluate(state, codes)
+        commit()
         stats.floorplans_evaluated += 1
 
-        best_state = (sp, orient_vec) if legal else None
+        best = (state, codes) if legal else None
         best_cost = cost if legal else float("inf")
 
         # Calibrate the initial temperature from a random walk so the
@@ -323,18 +295,19 @@ class AnnealingFloorplanner:
         # reference; the first real move then diffs against the walk's
         # end state, which is just another valid reference.
         deltas = []
-        probe_sp, probe_vec, probe_cost = sp, orient_vec, cost
+        probe, probe_codes, probe_cost = state, codes, cost
         for _ in range(30):
-            cand_sp, cand_vec = self._neighbor(rng, probe_sp, probe_vec)
-            cand_cost, _ = self._evaluate(cand_sp, cand_vec)
-            self._commit()
+            cand, cand_codes = neighbor(rng, probe, probe_codes)
+            cand_cost, _ = evaluate(cand, cand_codes)
+            commit()
             deltas.append(abs(cand_cost - probe_cost))
-            probe_sp, probe_vec, probe_cost = cand_sp, cand_vec, cand_cost
+            probe, probe_codes, probe_cost = cand, cand_codes, cand_cost
         avg_delta = max(sum(deltas) / len(deltas), 1e-6)
         temperature = -avg_delta / math.log(cfg.initial_acceptance)
         floor_temperature = temperature * cfg.min_temperature_ratio
-        logger.debug(
-            "SA: initial temperature %.4g (floor %.4g)",
+        self.log.debug(
+            "%s: initial temperature %.4g (floor %.4g)",
+            name,
             temperature,
             floor_temperature,
         )
@@ -350,32 +323,32 @@ class AnnealingFloorplanner:
             ),
         )
         progress = Progress(
-            "floorplan.sa", total=total_levels, unit="levels", logger=logger
+            self.span_name, total=total_levels, unit="levels", logger=self.log
         )
         if best_cost < float("inf"):
-            record_incumbent(best_cost, source="SA")
+            record_incumbent(best_cost, source=name)
 
         level = 0
-        while temperature > floor_temperature and not budget.expired:
+        while temperature > floor_temperature and clock() < deadline:
             for _ in range(cfg.moves_per_temperature):
                 # Checked per move, not per level: a level at the default
                 # 60 moves can outlive a sub-second budget many times
                 # over on large designs.
-                if budget.expired:
+                if clock() >= deadline:
                     break
-                cand_sp, cand_vec = self._neighbor(rng, sp, orient_vec)
-                cand_cost, cand_legal = self._evaluate(cand_sp, cand_vec)
+                cand, cand_codes = neighbor(rng, state, codes)
+                cand_cost, cand_legal = evaluate(cand, cand_codes)
                 stats.floorplans_evaluated += 1
                 delta = cand_cost - cost
                 if delta <= 0 or rng.random() < math.exp(
                     -delta / temperature
                 ):
-                    self._commit()
-                    sp, orient_vec, cost = cand_sp, cand_vec, cand_cost
+                    commit()
+                    state, codes, cost = cand, cand_codes, cand_cost
                     if cand_legal and cand_cost < best_cost:
                         best_cost = cand_cost
-                        best_state = (cand_sp, cand_vec)
-                        record_incumbent(best_cost, source="SA")
+                        best = (cand, cand_codes)
+                        record_incumbent(best_cost, source=name)
             temperature *= cfg.cooling
             level += 1
             progress.update(
@@ -384,8 +357,8 @@ class AnnealingFloorplanner:
                 temp=temperature,
                 moves=stats.floorplans_evaluated,
             )
-        stats.timed_out = budget.expired
-        stats.runtime_s = time.monotonic() - start
+        stats.timed_out = clock() >= deadline
+        stats.runtime_s = clock() - start
         if self._inc is not None:
             stats.incremental_proposals = self._inc.proposals
             stats.incremental_dirty_signals = self._inc.dirty_signals
@@ -395,33 +368,68 @@ class AnnealingFloorplanner:
         progress.finish(
             done=level, best=best_cost, moves=stats.floorplans_evaluated
         )
-        logger.info(
-            "SA: %d moves in %.2fs, best cost %.4f%s",
+        self.log.info(
+            "%s: %d moves in %.2fs, best cost %.4f%s",
+            name,
             stats.floorplans_evaluated,
             stats.runtime_s,
             best_cost,
             " (budget-truncated)" if stats.timed_out else "",
         )
 
-        if best_state is None:
-            logger.warning("SA: no legal floorplan visited")
-            return FloorplanResult(None, float("inf"), stats, "SA")
-        floorplan = self._realize(*best_state)
-        return FloorplanResult(floorplan, best_cost, stats, "SA")
+        if best is None:
+            self.log.warning("%s: no legal floorplan visited", name)
+            return FloorplanResult(None, float("inf"), stats, name)
+        return FloorplanResult(self._realize(*best), best_cost, stats, name)
 
-    def _realize(
-        self, sp: SequencePair, orient_vec: Tuple[Orientation, ...]
-    ) -> Floorplan:
-        shape_key = tuple(
-            orientation_code(o) & 1 for o in orient_vec
-        )
-        die_x, die_y, _width, _height = self._packed(sp, shape_key)
-        placements = {}
-        for i, (d, o) in enumerate(zip(self._die_ids, orient_vec)):
-            placements[d] = Placement(
-                Point(float(die_x[i]), float(die_y[i])), o
-            )
-        return Floorplan(self.design, placements)
+    def _realize(self, state, codes: Tuple[int, ...]) -> Floorplan:
+        dims = self.frame.dims(codes)
+        return self.frame.floorplan(self._pack(state, dims), codes)
+
+
+class AnnealingFloorplanner(Annealer):
+    """SA over (sequence pair, orientation codes) states.
+
+    As in EFA, a sequence pair is a ``(gamma_plus, gamma_minus)`` pair
+    of die-index tuples, so packing needs no id lookups.
+    """
+
+    algorithm = "SA"
+    span_name = "floorplan.sa"
+
+    def _initial_state(self, rng: random.Random) -> SeqPairState:
+        indices = tuple(range(len(self._die_ids)))
+        return indices, indices
+
+    def _neighbor(
+        self, rng: random.Random, sp: SeqPairState, codes: Tuple[int, ...]
+    ) -> Tuple[SeqPairState, Tuple[int, ...]]:
+        n = len(codes)
+        move = _rand_index(rng, 4) if n > 1 else 3
+        if move == 3:
+            # Rotate one die: the sequence pair is untouched.
+            return sp, _rotate_one(rng, codes)
+        plus, minus = list(sp[0]), list(sp[1])
+        if move in (0, 2):
+            i, j = _distinct_pair(rng, n)
+            plus[i], plus[j] = plus[j], plus[i]
+        if move in (1, 2):
+            i, j = _distinct_pair(rng, n)
+            minus[i], minus[j] = minus[j], minus[i]
+        return (tuple(plus), tuple(minus)), codes
+
+    def _pack_key(
+        self, sp: SeqPairState, shape_key: Tuple[int, ...]
+    ) -> Hashable:
+        return (sp, shape_key)
+
+    def _pack(self, sp: SeqPairState, dims: List[Tuple[float, float]]):
+        """Longest-path packing over die indices (``pack_indices``)."""
+        plus, minus = sp
+        rank_plus = [0] * len(minus)
+        for rank, i in enumerate(plus):
+            rank_plus[i] = rank
+        return pack_indices(minus, rank_plus, dims)
 
 
 def run_sa(

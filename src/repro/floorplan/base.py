@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
-from ..model import Floorplan
+from ..geometry import ALL_ORIENTATIONS, Point
+from ..model import Design, Floorplan, Placement
 from ..obs import metrics
 
 
@@ -42,6 +43,66 @@ class TimeBudget:
     def expired(self) -> bool:
         """True once the wall-clock budget is spent."""
         return self.seconds is not None and self.elapsed >= self.seconds
+
+
+class PackingFrame:
+    """The swollen-die frame every floorplanner packs and centres in.
+
+    Spacing follows the paper: each die is swollen by ``c_d / 2`` per
+    side, which bakes the die-to-die constraint into the packing, and the
+    outline check shrinks the interposer by ``c_b - c_d / 2`` per side so
+    the actual (unswollen) dies keep ``c_b`` boundary clearance.
+    """
+
+    def __init__(self, design: Design):
+        self.design = design
+        c_d = design.spacing.die_to_die
+        c_b = design.spacing.die_to_boundary
+        interposer = design.interposer
+        # Allowed region for the *swollen* dies.
+        self.avail_w = interposer.width - 2 * c_b + c_d
+        self.avail_h = interposer.height - 2 * c_b + c_d
+        self.half_cd = c_d / 2.0
+        self.center = interposer.center
+        # dims_by_code[die index][orientation code] -> swollen (w, h);
+        # orientation codes follow ALL_ORIENTATIONS order.
+        self.dims_by_code: List[List[Tuple[float, float]]] = []
+        for die in design.dies:
+            per_code = []
+            for o in ALL_ORIENTATIONS:
+                w, h = o.rotated_dims(die.width, die.height)
+                per_code.append((w + c_d, h + c_d))
+            self.dims_by_code.append(per_code)
+
+    def offsets(self, width: float, height: float) -> Tuple[float, float]:
+        """Offsets that centre a ``width`` x ``height`` packing on the
+        interposer, in unswollen die-origin coordinates."""
+        return (
+            self.center.x - width / 2.0 + self.half_cd,
+            self.center.y - height / 2.0 + self.half_cd,
+        )
+
+    def overflow(self, width: float, height: float) -> float:
+        """How far a packing overruns the allowed region (0 if it fits)."""
+        return max(width - self.avail_w, 0.0) + max(
+            height - self.avail_h, 0.0
+        )
+
+    def dims(self, codes: Sequence[int]) -> List[Tuple[float, float]]:
+        """Swollen ``(w, h)`` of each die under its orientation code."""
+        return [self.dims_by_code[i][c] for i, c in enumerate(codes)]
+
+    def floorplan(self, packing, codes: Sequence[int]) -> Floorplan:
+        """The centred :class:`Floorplan` of a packing
+        ``(xs, ys, width, height)`` made with ``dims(codes)``."""
+        xs, ys, width, height = packing
+        off_x, off_y = self.offsets(width, height)
+        placements = {}
+        for i, die in enumerate(self.design.dies):
+            placements[die.id] = Placement(
+                Point(xs[i] + off_x, ys[i] + off_y), ALL_ORIENTATIONS[codes[i]]
+            )
+        return Floorplan(self.design, placements)
 
 
 def validate_sa_schedule(

@@ -15,61 +15,30 @@ Packing semantics (standard B*-tree):
 * every y coordinate is the lowest position admitted by the *contour* —
   the skyline of everything packed so far.
 
-Die-to-die spacing is handled exactly as in EFA: dimensions are swollen
-by ``c_d`` before packing, and the result is centred on the interposer.
+The annealing engine is :class:`repro.floorplan.annealing.Annealer`;
+this module supplies only the B*-tree state, its moves, its pack-cache
+key and the contour packer.  Die-to-die spacing and centring come from
+the same :class:`repro.floorplan.base.PackingFrame` EFA packs in.
 """
 
 from __future__ import annotations
 
-import math
 import random
-import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Hashable, List, Optional, Tuple
 
-import numpy as np
-
-from ..geometry import ALL_ORIENTATIONS, Orientation, Point
-from ..model import Design, Floorplan, Placement
-from ..obs import Progress, get_logger, record_incumbent, span
-from .base import (
-    FloorplanResult,
-    SearchStats,
-    TimeBudget,
-    validate_sa_schedule,
+from ..model import Design
+from ..obs import get_logger
+from .annealing import (
+    _EPS,
+    Annealer,
+    SAConfig,
+    _distinct_pair,
+    _rand_index,
+    _rotate_one,
 )
-from .estimator import FastHpwlEvaluator, orientation_code
-from .incremental import (
-    DEFAULT_CROSS_CHECK_EVERY,
-    IncrementalHpwl,
-    full_eval_forced,
-    resolve_cross_check_every,
-)
-
-_EPS = 1e-9
-
-# See annealing._PACK_CACHE_LIMIT: sized for whole-run state reuse (an
-# entry is a key plus two tiny arrays); at the limit the oldest entry
-# (dict insertion order) is evicted, keeping the hot recent states
-# resident.
-_PACK_CACHE_LIMIT = 4096
-
-# Orientation-code vectors seen recently -> (codes array, shape key);
-# same bounded oldest-first policy as the pack cache.
-_CODE_CACHE_LIMIT = 256
-
-# For the rotate move: every orientation code except the current one.
-_OTHER_CODES = {
-    c: tuple(x for x in range(4) if x != c) for c in range(4)
-}
+from .base import FloorplanResult
 
 logger = get_logger("floorplan.btree")
-
-
-def _rand_index(rng: random.Random, n: int) -> int:
-    """Uniform index in ``[0, n)`` via one C-level ``random()`` draw
-    (see annealing._rand_index)."""
-    return int(rng.random() * n)
 
 
 class BStarTree:
@@ -86,7 +55,6 @@ class BStarTree:
         self.parent: List[int] = [-1] * n
         self.left: List[int] = [-1] * n
         self.right: List[int] = [-1] * n
-        self.root = 0
         order = list(range(n))
         if rng is not None:
             rng.shuffle(order)
@@ -126,7 +94,7 @@ class BStarTree:
         """Detach ``node``, promoting children until it becomes a leaf."""
         while self.left[node] != -1 or self.right[node] != -1:
             child = self.left[node] if self.left[node] != -1 else self.right[node]
-            self._swap_positions(node, child)
+            self.swap_dies(node, child)
         p = self.parent[node]
         if p != -1:
             if self.left[p] == node:
@@ -134,10 +102,6 @@ class BStarTree:
             else:
                 self.right[p] = -1
         self.parent[node] = -1
-
-    def _swap_positions(self, a: int, b: int) -> None:
-        """Exchange two nodes' positions in the tree (link-level swap)."""
-        self.swap_dies(a, b)
 
     def insert(self, node: int, target: int, as_left: bool) -> None:
         """Attach a detached ``node`` as a child of ``target``; an existing
@@ -242,176 +206,34 @@ def pack_btree(
     return xs, ys, width, height
 
 
-@dataclass
-class BTreeSAConfig:
-    """Annealing schedule for the B*-tree floorplanner."""
-
-    seed: int = 0
-    initial_acceptance: float = 0.8
-    cooling: float = 0.95
-    moves_per_temperature: int = 60
-    min_temperature_ratio: float = 1e-4
-    time_budget_s: Optional[float] = None
-    overflow_penalty: float = 1e6
-    # Delta (dirty-net) HPWL evaluation; bit-identical to full
-    # re-evaluation (REPRO_SA_FULL_EVAL=1 forces it off).
-    incremental: bool = True
-    # Cross-check cadence in proposals (0 disables;
-    # REPRO_SA_CROSS_CHECK overrides).
-    cross_check_every: int = DEFAULT_CROSS_CHECK_EVERY
-
-    def __post_init__(self) -> None:
-        validate_sa_schedule(
-            "BTreeSAConfig",
-            initial_acceptance=self.initial_acceptance,
-            cooling=self.cooling,
-            moves_per_temperature=self.moves_per_temperature,
-            min_temperature_ratio=self.min_temperature_ratio,
-            overflow_penalty=self.overflow_penalty,
-        )
-        if self.cross_check_every < 0:
-            raise ValueError(
-                "BTreeSAConfig.cross_check_every must be >= 0, got "
-                f"{self.cross_check_every!r}"
-            )
+class BTreeSAConfig(SAConfig):
+    """Annealing schedule for the B*-tree floorplanner (the
+    :class:`SAConfig` fields; errors name this class)."""
 
 
-class BTreeFloorplanner:
-    """Simulated annealing over (B*-tree, orientation vector) states."""
+class BTreeFloorplanner(Annealer):
+    """Simulated annealing over (B*-tree, orientation codes) states."""
 
-    def __init__(self, design: Design, config: Optional[BTreeSAConfig] = None):
-        self.design = design
-        self.config = config or BTreeSAConfig()
-        self.evaluator = FastHpwlEvaluator(design)
-        self._die_ids = self.evaluator.die_ids
-        c_d = design.spacing.die_to_die
-        c_b = design.spacing.die_to_boundary
-        self._half_cd = c_d / 2.0
-        self._avail_w = design.interposer.width - 2 * c_b + c_d
-        self._avail_h = design.interposer.height - 2 * c_b + c_d
-        self._dims_by_code = []
-        for die in design.dies:
-            per_code = [None] * 4
-            for o in ALL_ORIENTATIONS:
-                w, h = o.rotated_dims(die.width, die.height)
-                per_code[orientation_code(o)] = (w + c_d, h + c_d)
-            self._dims_by_code.append(per_code)
-        self._center = design.interposer.center
-        self._pack_cache: Dict[tuple, tuple] = {}
-        self._code_cache: Dict[tuple, tuple] = {}
-        self.pack_cache_hits = 0
-        self.pack_cache_misses = 0
-        # Delta HPWL evaluation (bit-identical; see incremental.py).
-        self._inc: Optional[IncrementalHpwl] = None
-        if (
-            self.config.incremental
-            and not full_eval_forced()
-            and self.evaluator.supports_incremental
-        ):
-            self._inc = IncrementalHpwl(
-                self.evaluator,
-                resolve_cross_check_every(self.config.cross_check_every),
-            )
+    algorithm = "B*-SA"
+    span_name = "floorplan.btree_sa"
+    log = logger
+    config_type = BTreeSAConfig
 
-    def _packed(
-        self, tree: BStarTree, shape_key: Tuple[int, ...]
-    ) -> Tuple[np.ndarray, np.ndarray, float, float]:
-        """Contour-pack and centre a state, cached by tree links and
-        footprint shapes.
+    def _initial_state(self, rng: random.Random) -> BStarTree:
+        return BStarTree(len(self._die_ids), rng)
 
-        Orientation codes 0/2 and 1/3 share a footprint, so the rotate
-        move's 180-degree flips re-score HPWL against the cached packing
-        instead of re-running the contour sweep.  As in the sequence-pair
-        annealer, the entry holds the centred global die-origin arrays so
-        cache hits reuse array objects — the incremental evaluator's
-        "positions unchanged" identity fast path.
-        """
-        key = (
-            tuple(tree.parent),
-            tuple(tree.left),
-            tuple(tree.right),
-            tree.root,
-            shape_key,
-        )
-        cached = self._pack_cache.get(key)
-        if cached is not None:
-            self.pack_cache_hits += 1
-            return cached
-        self.pack_cache_misses += 1
-        dims = [
-            self._dims_by_code[i][s] for i, s in enumerate(shape_key)
-        ]
-        xs, ys, width, height = pack_btree(tree, dims)
-        off_x = self._center.x - width / 2.0 + self._half_cd
-        off_y = self._center.y - height / 2.0 + self._half_cd
-        entry = (
-            np.asarray(xs) + off_x,
-            np.asarray(ys) + off_y,
-            width,
-            height,
-        )
-        if len(self._pack_cache) >= _PACK_CACHE_LIMIT:
-            # Bounded oldest-first eviction (insertion order): keeps the
-            # hot recent neighborhood instead of clearing wholesale.
-            self._pack_cache.pop(next(iter(self._pack_cache)))
-        self._pack_cache[key] = entry
-        return entry
-
-    def _code_entry(
-        self, codes: List[int]
-    ) -> Tuple[np.ndarray, Tuple[int, ...]]:
-        """(codes array, shape key) of a code vector, cached."""
-        key = tuple(codes)
-        entry = self._code_cache.get(key)
-        if entry is None:
-            entry = (
-                np.asarray(codes, dtype=np.int64),
-                tuple(c & 1 for c in codes),
-            )
-            if len(self._code_cache) >= _CODE_CACHE_LIMIT:
-                self._code_cache.pop(next(iter(self._code_cache)))
-            self._code_cache[key] = entry
-        return entry
-
-    def _evaluate(self, tree: BStarTree, codes: List[int]):
-        codes_arr, shape_key = self._code_entry(codes)
-        die_x, die_y, w, h = self._packed(tree, shape_key)
-        overflow = max(w - self._avail_w, 0.0) + max(h - self._avail_h, 0.0)
-        if self._inc is not None:
-            wl = self._inc.propose(die_x, die_y, codes_arr)
-        else:
-            wl = self.evaluator.hpwl(die_x, die_y, codes_arr)
-        legal = overflow <= _EPS
-        return (
-            wl + self.config.overflow_penalty * overflow,
-            legal,
-            (die_x, die_y, w, h),
-        )
-
-    def _commit(self) -> None:
-        """Adopt the last evaluated candidate as the delta-eval reference
-        (no-op under full evaluation)."""
-        if self._inc is not None:
-            self._inc.accept()
-
-    def _neighbor(self, rng: random.Random, tree: BStarTree, codes: List[int]):
+    def _neighbor(
+        self, rng: random.Random, tree: BStarTree, codes: Tuple[int, ...]
+    ) -> Tuple[BStarTree, Tuple[int, ...]]:
         n = tree.n
         move = _rand_index(rng, 3) if n > 1 else 2
         if move == 2:
-            # Rotate one die: the tree is untouched, so reuse the object
-            # (structural moves always clone before mutating).
-            i = _rand_index(rng, n)
-            new_codes = list(codes)
-            others = _OTHER_CODES[new_codes[i]]
-            new_codes[i] = others[_rand_index(rng, 3)]
-            return tree, new_codes
+            # Rotate one die: the tree is untouched, so reuse the object.
+            return tree, _rotate_one(rng, codes)
+        # Structural moves edit a clone: committed trees never change.
         new_tree = tree.clone()
         if move == 0:
-            a = _rand_index(rng, n)
-            b = _rand_index(rng, n - 1)
-            if b >= a:
-                b += 1
-            new_tree.swap_dies(a, b)
+            new_tree.swap_dies(*_distinct_pair(rng, n))
         else:
             node = rng.randrange(n)
             if node != new_tree.root or (
@@ -426,122 +248,18 @@ class BTreeFloorplanner:
                 new_tree.insert(node, target, as_left=rng.random() < 0.5)
         return new_tree, codes
 
-    def run(self) -> FloorplanResult:
-        """Anneal and return the best legal floorplan found."""
-        with span("floorplan.btree_sa") as sp:
-            result = self._run()
-        sp.annotate(
-            est_wl=result.est_wl if result.found else None,
-            moves=result.stats.floorplans_evaluated,
-            timed_out=result.stats.timed_out,
-        )
-        result.stats.publish(prefix="floorplan.btree_sa")
-        return result
-
-    def _run(self) -> FloorplanResult:
-        cfg = self.config
-        rng = random.Random(cfg.seed)
-        budget = TimeBudget(cfg.time_budget_s)
-        stats = SearchStats()
-        start = time.monotonic()
-        n = len(self._die_ids)
-
-        tree = BStarTree(n, rng)
-        codes = [0] * n
-        cost, legal, _ = self._evaluate(tree, codes)
-        self._commit()
-        stats.floorplans_evaluated += 1
-        best = (tree.clone(), list(codes)) if legal else None
-        best_cost = cost if legal else float("inf")
-
-        # Calibration probes are excluded from floorplans_evaluated (they
-        # size the schedule, they do not explore the search space).  Each
-        # probe advances the walk, so each commits as the delta-eval
-        # reference (see annealing._run).
-        deltas = []
-        probe_t, probe_c, probe_cost = tree, codes, cost
-        for _ in range(30):
-            cand_t, cand_c = self._neighbor(rng, probe_t, probe_c)
-            cand_cost, _, _ = self._evaluate(cand_t, cand_c)
-            self._commit()
-            deltas.append(abs(cand_cost - probe_cost))
-            probe_t, probe_c, probe_cost = cand_t, cand_c, cand_cost
-        avg_delta = max(sum(deltas) / len(deltas), 1e-6)
-        temperature = -avg_delta / math.log(cfg.initial_acceptance)
-        floor_temperature = temperature * cfg.min_temperature_ratio
-        total_levels = max(
-            1,
-            int(
-                math.ceil(
-                    math.log(cfg.min_temperature_ratio)
-                    / math.log(cfg.cooling)
-                )
-            ),
-        )
-        progress = Progress(
-            "floorplan.btree_sa",
-            total=total_levels,
-            unit="levels",
-            logger=logger,
-        )
-        if best_cost < float("inf"):
-            record_incumbent(best_cost, source="B*-SA")
-
-        level = 0
-        while temperature > floor_temperature and not budget.expired:
-            for _ in range(cfg.moves_per_temperature):
-                if budget.expired:
-                    break
-                cand_t, cand_c = self._neighbor(rng, tree, codes)
-                cand_cost, cand_legal, _ = self._evaluate(cand_t, cand_c)
-                stats.floorplans_evaluated += 1
-                delta = cand_cost - cost
-                if delta <= 0 or rng.random() < math.exp(-delta / temperature):
-                    self._commit()
-                    tree, codes, cost = cand_t, cand_c, cand_cost
-                    if cand_legal and cand_cost < best_cost:
-                        best_cost = cand_cost
-                        best = (cand_t.clone(), list(cand_c))
-                        record_incumbent(best_cost, source="B*-SA")
-            temperature *= cfg.cooling
-            level += 1
-            progress.update(
-                done=level,
-                best=best_cost,
-                temp=temperature,
-                moves=stats.floorplans_evaluated,
-            )
-        stats.timed_out = budget.expired
-        stats.runtime_s = time.monotonic() - start
-        if self._inc is not None:
-            stats.incremental_proposals = self._inc.proposals
-            stats.incremental_dirty_signals = self._inc.dirty_signals
-            stats.incremental_signals_total = self._inc.signals_total
-            stats.incremental_full_rescores = self._inc.full_rescores
-            stats.incremental_cross_checks = self._inc.cross_checks
-        progress.finish(
-            done=level, best=best_cost, moves=stats.floorplans_evaluated
+    def _pack_key(
+        self, tree: BStarTree, shape_key: Tuple[int, ...]
+    ) -> Hashable:
+        return (
+            tuple(tree.parent),
+            tuple(tree.left),
+            tuple(tree.right),
+            tree.root,
+            shape_key,
         )
 
-        if best is None:
-            logger.warning("B*-SA: no legal floorplan visited")
-            return FloorplanResult(None, float("inf"), stats, "B*-SA")
-        floorplan = self._realize(*best)
-        return FloorplanResult(floorplan, best_cost, stats, "B*-SA")
-
-    def _realize(self, tree: BStarTree, codes: List[int]) -> Floorplan:
-        from .estimator import orientation_from_code
-
-        die_x, die_y, _w, _h = self._packed(
-            tree, tuple(c & 1 for c in codes)
-        )
-        placements: Dict[str, Placement] = {}
-        for i, die_id in enumerate(self._die_ids):
-            placements[die_id] = Placement(
-                Point(float(die_x[i]), float(die_y[i])),
-                orientation_from_code(codes[i]),
-            )
-        return Floorplan(self.design, placements)
+    _pack = staticmethod(pack_btree)
 
 
 def run_btree_sa(

@@ -14,11 +14,9 @@ estimator.  The three acceleration techniques of the paper are switchable:
 * ``fixed_orientations`` — Section 3.3, die orientation pre-determination
   (pass the orientations from :mod:`repro.floorplan.greedy_packing`).
 
-Spacing handling follows the paper exactly: during the sequence-pair
-transform every die is swollen by ``c_d / 2`` per side, which bakes the
-die-to-die constraint into the packing, and the outline check shrinks the
-interposer by ``c_b - c_d / 2`` per side so that the actual (unswollen)
-dies keep ``c_b`` boundary clearance.
+Spacing handling follows the paper exactly; it lives in
+:class:`repro.floorplan.base.PackingFrame`, which every floorplanner
+packs in.
 
 Implementation note: the search iterates over *index* permutations and
 packs with flat lists — with up to ``n!^2 * 4^n`` candidates this inner
@@ -38,20 +36,18 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..geometry import (
-    ALL_ORIENTATIONS,
     Orientation,
-    Point,
     landscape_orientations,
     portrait_orientations,
 )
-from ..model import Design, Floorplan, Placement
+from ..model import Design, Floorplan
 from ..obs import Progress, get_logger, record_incumbent, span
 from ..seqpair import (
     SequencePair,
     iter_permutations_range,
     sequence_pair_count,
 )
-from .base import FloorplanResult, SearchStats, TimeBudget
+from .base import FloorplanResult, PackingFrame, SearchStats, TimeBudget
 from .batch import MAX_SWEEP_DIES, OrientationSweep, pack_indices
 from .estimator import FastHpwlEvaluator, orientation_code
 
@@ -181,25 +177,12 @@ class EnumerativeFloorplanner:
         self._sweep: Optional[OrientationSweep] = None
 
     def _prepare_dims(self) -> None:
-        """Precompute swollen per-orientation dimensions and outline bounds."""
-        c_d = self.design.spacing.die_to_die
-        c_b = self.design.spacing.die_to_boundary
-        interposer = self.design.interposer
-        # Allowed region for the *swollen* dies (see module docstring).
-        self._avail_w = interposer.width - 2 * c_b + c_d
-        self._avail_h = interposer.height - 2 * c_b + c_d
-        self._half_cd = c_d / 2.0
-        n = len(self._die_ids)
-        # dims_by_code[die index][orientation code] -> swollen (w, h).
-        self._dims_by_code: List[List[Tuple[float, float]]] = []
+        """Take swollen dims and outline bounds from the shared packing
+        frame; add the landscape/portrait dims the Eq. 2 bound needs."""
+        frame = self._frame = PackingFrame(self.design)
         self._low_dims: List[Tuple[float, float]] = []
         self._thin_dims: List[Tuple[float, float]] = []
-        for die in self.design.dies:
-            per_code = [None] * 4
-            for o in ALL_ORIENTATIONS:
-                w, h = o.rotated_dims(die.width, die.height)
-                per_code[orientation_code(o)] = (w + c_d, h + c_d)
-            self._dims_by_code.append(per_code)
+        for die, per_code in zip(self.design.dies, frame.dims_by_code):
             low = landscape_orientations(die.width, die.height)[0]
             thin = portrait_orientations(die.width, die.height)[0]
             self._low_dims.append(per_code[orientation_code(low)])
@@ -208,7 +191,6 @@ class EnumerativeFloorplanner:
         # any legal candidate's die origins (origin + min extent <= avail).
         self._min_heights = np.asarray([d[1] for d in self._low_dims])
         self._min_widths = np.asarray([d[0] for d in self._thin_dims])
-        self._center = interposer.center
 
     # -- fast index-based packing -------------------------------------------------
 
@@ -347,7 +329,7 @@ class EnumerativeFloorplanner:
         )
         if use_batch:
             if self._sweep is None:
-                self._sweep = OrientationSweep(self._dims_by_code)
+                self._sweep = OrientationSweep(self._frame.dims_by_code)
             sweep = self._sweep
         else:
             sweep = None
@@ -367,14 +349,15 @@ class EnumerativeFloorplanner:
         die_x = np.empty(n)
         die_y = np.empty(n)
         codes_arr = np.empty(n, dtype=np.int64)
-        dims_by_code = self._dims_by_code
+        frame = self._frame
+        dims_by_code = frame.dims_by_code
         low_dims = self._low_dims
         thin_dims = self._thin_dims
-        avail_w = self._avail_w + _EPS
-        avail_h = self._avail_h + _EPS
-        center_x = self._center.x
-        center_y = self._center.y
-        half_cd = self._half_cd
+        avail_w = frame.avail_w + _EPS
+        avail_h = frame.avail_h + _EPS
+        center_x = frame.center.x
+        center_y = frame.center.y
+        half_cd = frame.half_cd
         use_illegal = cfg.illegal_cut
         use_inferior = cfg.inferior_cut
         candidate_count = 0
@@ -449,8 +432,7 @@ class EnumerativeFloorplanner:
                     sweep_wl = float("inf")
                     sweep_combo = -1
                     if legal_idx.size:
-                        off_x_b = center_x - w_b / 2.0 + half_cd
-                        off_y_b = center_y - h_b / 2.0 + half_cd
+                        off_x_b, off_y_b = frame.offsets(w_b, h_b)
                         xs_t = xs_b.T  # (4^n, n) candidate-major views
                         ys_t = ys_b.T
                         for lo_c in range(0, legal_idx.size, chunk_size):
@@ -676,9 +658,8 @@ class EnumerativeFloorplanner:
         """
         n = len(self._die_ids)
         zeros = np.zeros(n)
-        cx, cy, half = self._center.x, self._center.y, self._half_cd
-        h_ub = self._avail_h + _EPS
-        w_ub = self._avail_w + _EPS
+        h_ub = self._frame.avail_h + _EPS
+        w_ub = self._frame.avail_w + _EPS
         # Tightest outline any candidate can realise per axis: every die
         # stacked would be taller, but a single row is always at least as
         # tall as the tallest minimum extent.
@@ -686,17 +667,13 @@ class EnumerativeFloorplanner:
         w_lb = min(float(self._min_widths.max()), w_ub)
         die_y_max = np.maximum(zeros, h_ub - self._min_heights)
         die_x_max = np.maximum(zeros, w_ub - self._min_widths)
+        off_x_lo, off_y_lo = self._frame.offsets(w_ub, h_ub)
+        off_x_hi, off_y_hi = self._frame.offsets(w_lb, h_lb)
         ly_min = self.evaluator.lower_bound_vertical(
-            zeros,
-            die_y_max,
-            cy - h_ub / 2.0 + half,
-            cy - h_lb / 2.0 + half,
+            zeros, die_y_max, off_y_lo, off_y_hi
         )
         lx_min = self.evaluator.lower_bound_horizontal(
-            zeros,
-            die_x_max,
-            cx - w_ub / 2.0 + half,
-            cx - w_lb / 2.0 + half,
+            zeros, die_x_max, off_x_lo, off_x_hi
         )
         return lx_min + ly_min
 
@@ -724,31 +701,26 @@ class EnumerativeFloorplanner:
         """
         lxs, lys, lw, lh = low_pack
         txs, tys, tw, th = thin_pack
-        cx, cy, half = self._center.x, self._center.y, self._half_cd
         # Any legal candidate's outline obeys lh <= h <= min(th, avail_h)
         # (and the mirror in x), which pins the centring offset range:
-        # off_y(h) = cy - h/2 + half is decreasing in h.
-        h_ub = min(th, self._avail_h + _EPS)
-        w_ub = min(lw, self._avail_w + _EPS)
+        # the frame's off_y(h) = c_y - h/2 + c_d/2 is decreasing in h.
+        h_ub = min(th, self._frame.avail_h + _EPS)
+        w_ub = min(lw, self._frame.avail_w + _EPS)
+        off_x_lo, off_y_lo = self._frame.offsets(w_ub, h_ub)
+        off_x_hi, off_y_hi = self._frame.offsets(tw, lh)
         # y: origins are lowest in the min-height (F_low) packing and
         # highest in the max-height (F_thin) one, capped so the die still
         # fits the legal outline.
         die_y_min = np.asarray(lys)
         die_y_max = np.minimum(np.asarray(tys), h_ub - self._min_heights)
         ly_min = self.evaluator.lower_bound_vertical(
-            die_y_min,
-            die_y_max,
-            cy - h_ub / 2.0 + half,
-            cy - lh / 2.0 + half,
+            die_y_min, die_y_max, off_y_lo, off_y_hi
         )
         # x mirrors it: F_thin has the minimal widths, F_low the maximal.
         die_x_min = np.asarray(txs)
         die_x_max = np.minimum(np.asarray(lxs), w_ub - self._min_widths)
         lx_min = self.evaluator.lower_bound_horizontal(
-            die_x_min,
-            die_x_max,
-            cx - w_ub / 2.0 + half,
-            cx - tw / 2.0 + half,
+            die_x_min, die_x_max, off_x_lo, off_x_hi
         )
         return lx_min + ly_min
 
@@ -759,23 +731,11 @@ class EnumerativeFloorplanner:
         combo: Tuple[int, ...],
     ) -> Floorplan:
         """Re-pack the winning candidate into a :class:`Floorplan`."""
-        n = len(self._die_ids)
-        rank_plus = [0] * n
+        rank_plus = [0] * len(plus)
         for r, i in enumerate(plus):
             rank_plus[i] = r
-        dims = [self._dims_by_code[i][combo[i]] for i in range(n)]
-        xs, ys, w, h = self._pack(minus, rank_plus, dims)
-        off_x = self._center.x - w / 2.0 + self._half_cd
-        off_y = self._center.y - h / 2.0 + self._half_cd
-        from .estimator import orientation_from_code
-
-        placements = {}
-        for i, die_id in enumerate(self._die_ids):
-            placements[die_id] = Placement(
-                Point(xs[i] + off_x, ys[i] + off_y),
-                orientation_from_code(combo[i]),
-            )
-        return Floorplan(self.design, placements)
+        packing = self._pack(minus, rank_plus, self._frame.dims(combo))
+        return self._frame.floorplan(packing, combo)
 
     def realize_candidate(
         self,

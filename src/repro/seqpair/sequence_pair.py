@@ -33,23 +33,6 @@ class SequencePair:
         if len(set(self.plus)) != len(self.plus):
             raise ValueError("sequence pair repeats a die id")
 
-    @classmethod
-    def unchecked(
-        cls, plus: Tuple[str, ...], minus: Tuple[str, ...]
-    ) -> "SequencePair":
-        """Construct without the permutation validation.
-
-        For perturbation loops that derive ``plus``/``minus`` by swapping
-        elements of an already-validated pair — the invariant holds by
-        construction, and the ``sorted``/``set`` checks are measurable at
-        SA move rates.  Equality and hashing behave identically to
-        normally-constructed instances.
-        """
-        pair = object.__new__(cls)
-        object.__setattr__(pair, "plus", plus)
-        object.__setattr__(pair, "minus", minus)
-        return pair
-
     @property
     def die_ids(self) -> Tuple[str, ...]:
         """The die ids (gamma_plus order)."""

@@ -94,7 +94,10 @@ class CheckpointStore:
         self._fingerprint: Optional[Dict[str, Any]] = None
         self._records: List[Dict[str, Any]] = []
         self._dirty = False
-        self._last_flush = 0.0
+        # None = never flushed, so the first record always flushes.  A
+        # 0.0 start would compare against ``time.monotonic()``, which
+        # counts from boot, and skip that flush on young hosts.
+        self._last_flush: Optional[float] = None
 
     # -- executor protocol ---------------------------------------------------
 
@@ -155,8 +158,10 @@ class CheckpointStore:
         """
         self._records.append(json.loads(json.dumps(rec)))
         self._dirty = True
-        now = time.monotonic()
-        if now - self._last_flush >= self.flush_interval_s:
+        if (
+            self._last_flush is None
+            or time.monotonic() - self._last_flush >= self.flush_interval_s
+        ):
             self.flush()
 
     def flush(self) -> None:

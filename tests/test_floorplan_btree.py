@@ -163,6 +163,22 @@ class TestBTreeSA:
         b = run_btree_sa(design, BTreeSAConfig(seed=3, moves_per_temperature=10))
         assert a.est_wl == pytest.approx(b.est_wl)
 
+    def test_moves_never_mutate_the_input_state(self, design):
+        # The shared annealer keeps its best state without copying, so
+        # a move must return a new tree (or the same, untouched one).
+        from repro.floorplan import BTreeFloorplanner
+
+        planner = BTreeFloorplanner(design, BTreeSAConfig(seed=0))
+        rng = random.Random(0)
+        tree, codes = planner._initial_state(rng), (0, 0, 0)
+        for _ in range(200):
+            before = (list(tree.parent), list(tree.left), list(tree.right))
+            cand, cand_codes = planner._neighbor(rng, tree, codes)
+            assert (tree.parent, tree.left, tree.right) == before
+            assert cand.is_consistent()
+            assert len(cand_codes) == 3
+            tree, codes = cand, cand_codes
+
     def test_spacing_respected(self, design):
         result = run_btree_sa(
             design, BTreeSAConfig(seed=4, moves_per_temperature=25)

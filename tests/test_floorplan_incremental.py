@@ -13,9 +13,9 @@ drive that three ways:
   ``REPRO_SA_FULL_EVAL=1`` escape hatch — same accepted costs, same
   move count, same final floorplan.
 
-Also covered: the env knobs, the dirty-set accounting, the engines'
-bounded pack caches with hit/miss counters, and the validation-skipping
-``SequencePair.unchecked`` constructor the move loop relies on.
+Also covered: the env knobs, the dirty-set accounting, and the
+annealer's bounded pack cache with hit/miss counters (both
+representations).
 """
 
 import random
@@ -37,7 +37,6 @@ from repro.floorplan import (
 )
 from repro.floorplan.annealing import AnnealingFloorplanner
 from repro.floorplan.btree import BTreeFloorplanner
-from repro.seqpair import SequencePair
 
 
 @pytest.fixture(scope="module")
@@ -293,16 +292,21 @@ class TestEngineBitIdentity:
     def test_tiny_pack_cache_same_result(self, design, monkeypatch):
         """Cache hits hand the incremental evaluator *reused* array
         objects (the identity fast path); a 1-entry cache forces fresh
-        arrays every move.  The anneal must not notice."""
+        arrays every move.  Neither engine may notice."""
         import repro.floorplan.annealing as annealing
 
-        baseline = run_sa(design, _fast_sa(seed=4))
+        baselines = [
+            run_sa(design, _fast_sa(seed=4)),
+            run_btree_sa(design, _fast_btree(seed=4)),
+        ]
         monkeypatch.setattr(annealing, "_PACK_CACHE_LIMIT", 1)
-        starved = run_sa(design, _fast_sa(seed=4))
-        assert starved.est_wl == baseline.est_wl
-        assert (
-            starved.floorplan.placements == baseline.floorplan.placements
-        )
+        starved = [
+            run_sa(design, _fast_sa(seed=4)),
+            run_btree_sa(design, _fast_btree(seed=4)),
+        ]
+        for got, want in zip(starved, baselines):
+            assert got.est_wl == want.est_wl
+            assert got.floorplan.placements == want.floorplan.placements
 
 
 class TestPackCacheBookkeeping:
@@ -318,7 +322,7 @@ class TestPackCacheBookkeeping:
     def test_btree_counters_and_bound(self, design):
         planner = BTreeFloorplanner(design, _fast_btree(seed=1))
         planner.run()
-        from repro.floorplan.btree import _PACK_CACHE_LIMIT
+        from repro.floorplan.annealing import _PACK_CACHE_LIMIT
 
         assert planner.pack_cache_misses == len(planner._pack_cache)
         assert planner.pack_cache_hits > 0
@@ -329,43 +333,21 @@ class TestPackCacheBookkeeping:
 
         monkeypatch.setattr(annealing, "_PACK_CACHE_LIMIT", 2)
         planner = AnnealingFloorplanner(design, _fast_sa())
-        ids = planner.evaluator.die_ids
+        ids = tuple(range(len(planner._die_ids)))
         shape = (0,) * len(ids)
         pairs = [
-            SequencePair(tuple(perm), tuple(ids))
-            for perm in (
-                ids,
-                list(reversed(ids)),
-                [ids[1], ids[0], *ids[2:]],
-            )
+            (plus, ids)
+            for plus in (ids, ids[::-1], (ids[1], ids[0], *ids[2:]))
         ]
         for sp in pairs:
             planner._packed(sp, shape)
         assert len(planner._pack_cache) == 2
         keys = list(planner._pack_cache)
         # The first-inserted key is gone, the two newest remain.
-        assert keys == [
-            (sp.plus, sp.minus, shape) for sp in pairs[1:]
-        ]
+        assert keys == [(sp, shape) for sp in pairs[1:]]
         assert planner.pack_cache_misses == 3
         # Re-asking for a resident state is a hit and reuses the arrays.
         a = planner._packed(pairs[2], shape)
         b = planner._packed(pairs[2], shape)
         assert planner.pack_cache_hits == 2
         assert a[0] is b[0] and a[1] is b[1]
-
-
-class TestSequencePairUnchecked:
-    def test_equals_and_hashes_like_validated(self):
-        plus, minus = ("a", "b", "c"), ("c", "a", "b")
-        checked = SequencePair(plus, minus)
-        unchecked = SequencePair.unchecked(plus, minus)
-        assert unchecked == checked
-        assert hash(unchecked) == hash(checked)
-        assert unchecked.plus == plus and unchecked.minus == minus
-
-    def test_validated_constructor_still_rejects_bad_pairs(self):
-        with pytest.raises(ValueError):
-            SequencePair(("a", "b"), ("a", "c"))
-        with pytest.raises(ValueError):
-            SequencePair(("a", "a"), ("a", "a"))

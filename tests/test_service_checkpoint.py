@@ -114,7 +114,13 @@ class TestCheckpointStore:
         assert not path.exists()
         store.discard()  # idempotent
 
-    def test_flush_interval_batches_writes(self, tmp_path):
+    @pytest.mark.parametrize("uptime", [5.0, 1e6])
+    def test_flush_interval_batches_writes(self, tmp_path, monkeypatch, uptime):
+        # time.monotonic() counts from boot: the first record must flush
+        # on a host up for seconds as well as on one up for days.
+        import repro.service.checkpoint as checkpoint
+
+        monkeypatch.setattr(checkpoint.time, "monotonic", lambda: uptime)
         path = tmp_path / "ckpt.json"
         store = CheckpointStore(path, flush_interval_s=3600.0)
         store.open_run(FINGERPRINT)
