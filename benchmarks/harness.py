@@ -23,7 +23,7 @@ Usage::
     python benchmarks/harness.py list
     python benchmarks/harness.py run efa_t4s flow_t4s --repeats 3
     python benchmarks/harness.py run efa_t4s --compare          # vs committed baseline
-    python benchmarks/harness.py run --module benchmarks/bench_batch_eval.py
+    python benchmarks/harness.py run --module benchmarks/bench_parallel_speedup.py
     python benchmarks/harness.py compare NEW.json BASELINE.json
 
 Records additionally carry a ``quality`` section (final ``est_wl`` /

@@ -139,13 +139,6 @@ def _save_design(design, path: str) -> None:
         json_io.save_design(design, path)
 
 
-def _batch_eval_mode(args) -> "bool | str":
-    """Resolve ``--batch-eval``/--serial-eval into an EFAConfig value."""
-    if args.serial_eval:
-        return False
-    return {"on": True, "off": False, "auto": "auto"}[args.batch_eval]
-
-
 def _run_floorplanner(
     design,
     algorithm: str,
@@ -153,7 +146,6 @@ def _run_floorplanner(
     workers: int = 1,
     seed: int = 0,
     portfolio: bool = False,
-    batch_eval: "bool | str" = True,
 ):
     if portfolio:
         from .parallel import PortfolioConfig, run_portfolio
@@ -162,12 +154,7 @@ def _run_floorplanner(
             design, PortfolioConfig(time_budget_s=budget, seed=seed)
         )
     if algorithm == "mix":
-        return run_efa_mix(
-            design,
-            time_budget_s=budget,
-            workers=workers,
-            batch_eval=batch_eval,
-        )
+        return run_efa_mix(design, time_budget_s=budget, workers=workers)
     if algorithm == "dop":
         return run_efa_dop(design, time_budget_s=budget)
     if algorithm == "sa":
@@ -182,7 +169,6 @@ def _run_floorplanner(
         illegal_cut=algorithm in ("c1", "c3"),
         inferior_cut=algorithm in ("c2", "c3"),
         time_budget_s=budget,
-        batch_eval=batch_eval,
     )
     if workers > 1:
         from .parallel import ParallelEFAConfig, run_parallel_efa
@@ -295,7 +281,6 @@ def cmd_floorplan(args) -> int:
         workers=args.workers,
         seed=args.seed,
         portfolio=args.portfolio,
-        batch_eval=_batch_eval_mode(args),
     )
     if not result.found:
         logger.error("no legal floorplan found")
@@ -406,7 +391,6 @@ def cmd_run(args) -> int:
             FlowConfig(
                 post_optimize=args.post_optimize,
                 floorplan_workers=args.workers,
-                floorplan_batch_eval=_batch_eval_mode(args),
                 portfolio=args.portfolio,
                 seed=args.seed,
             ),
@@ -417,7 +401,6 @@ def cmd_run(args) -> int:
                 workers=args.workers,
                 seed=args.seed,
                 portfolio=args.portfolio,
-                batch_eval=_batch_eval_mode(args),
             ),
             assigner=_make_assigner(args.assigner, args.budget),
         )
@@ -593,7 +576,6 @@ def cmd_submit(args) -> int:
             floorplan_budget_s=args.budget,
             post_optimize=args.post_optimize,
             floorplan_workers=args.workers,
-            floorplan_batch_eval=_batch_eval_mode(args),
             portfolio=args.portfolio,
             seed=args.seed,
         )
@@ -770,21 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="D.html",
         help="write the self-contained HTML run dashboard here "
         "(floorplan SVG + trajectory + waterfall + pruning funnel)",
-    )
-    parallel_common.add_argument(
-        "--serial-eval",
-        action="store_true",
-        help="disable the batched orientation-sweep evaluation and score "
-        "candidates one at a time (same winner; for benchmarking and "
-        "cross-checks; equivalent to --batch-eval off)",
-    )
-    parallel_common.add_argument(
-        "--batch-eval",
-        default="on",
-        choices=["on", "off", "auto"],
-        help="batched orientation-sweep evaluation: on (default), off, "
-        "or auto (pick per design from its die/terminal counts; the "
-        "winner is bit-identical either way)",
     )
 
     p = add_parser(

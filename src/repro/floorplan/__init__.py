@@ -16,12 +16,7 @@ from .btree import (
     run_btree_sa,
 )
 from .dop import run_efa_dop
-from .efa import (
-    EFAConfig,
-    EnumerativeFloorplanner,
-    resolve_batch_eval,
-    run_efa,
-)
+from .efa import EFAConfig, EnumerativeFloorplanner, run_efa
 from .estimator import (
     DEFAULT_BATCH_CHUNK_BYTES,
     FastHpwlEvaluator,
@@ -77,7 +72,6 @@ __all__ = [
     "orientation_code",
     "orientation_from_code",
     "predetermine_orientations",
-    "resolve_batch_eval",
     "run_efa",
     "run_efa_dop",
     "run_efa_mix",

@@ -20,14 +20,14 @@ sweep vectorially:
 float64 operations — the same additions and the same chain of ``max``
 updates in the same order, just broadcast over the combination axis — so
 every coordinate, outline extent and downstream HPWL it produces is
-bit-identical to the scalar path.  The tests and
-``benchmarks/bench_batch_eval.py`` assert this with ``==``, not approx.
+bit-identical to the scalar path.  ``tests/test_batch_eval.py`` asserts
+this with ``==``, not approx.
 
 **Memory contract.**  An ``OrientationSweep`` holds a handful of
 ``(n, 4^n)`` float64 tables (the per-combination dims and the packing
 buffers), so its footprint is ``O(n * 4^n)`` — about 4 MB per table at
 ``n = 8``.  Construction refuses die counts whose sweep would not fit;
-EFA falls back to the scalar loop there (where the ``n!^2`` outer
+EFA scores such designs with its scalar kernel (where the ``n!^2`` outer
 enumeration is unreachable anyway).
 """
 

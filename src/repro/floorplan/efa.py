@@ -31,7 +31,7 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -42,79 +42,18 @@ from ..geometry import (
 )
 from ..model import Design, Floorplan
 from ..obs import Progress, get_logger, record_incumbent, span
-from ..seqpair import (
-    SequencePair,
-    iter_permutations_range,
-    sequence_pair_count,
-)
+from ..seqpair import iter_permutations_range
 from .base import FloorplanResult, PackingFrame, SearchStats, TimeBudget
 from .batch import MAX_SWEEP_DIES, OrientationSweep, pack_indices
 from .estimator import FastHpwlEvaluator, orientation_code
 
 _EPS = 1e-9
-
-# ``batch_eval="auto"`` thresholds.  Two regimes:
-#
-# * With a known per-row scratch width (``row_bytes``, supplied by the
-#   evaluator), auto is memory-aware: the chunker already bounds each
-#   sweep chunk to the :func:`repro.floorplan.estimator.batch_chunk_bytes`
-#   budget, so the batched path only loses when the sweep is small (n <=
-#   AUTO_SERIAL_MAX_DIES gives just 4^n rows to amortize over) AND a
-#   single candidate's row is so wide that fewer than
-#   AUTO_SERIAL_MIN_CHUNK_ROWS rows fit the budget — at that point each
-#   chunk streams a working set the cache cannot hold and batching
-#   amortizes nothing over the scalar loop.
-# * Without a row width (legacy callers), the conservative PR-7 rule
-#   stands: serial on small-sweep, terminal-heavy designs (the regime
-#   where the pre-slot kernel measured 0.90x on t4b).
-#
-# Since the padded-slot kernel landed, every bench case resolves to
-# batched under the memory-aware rule (t4b now measures ~2x vs serial);
-# the fallback survives as a safety valve for designs whose slot tables
-# degenerate (one signal spanning hundreds of terminals).
-AUTO_SERIAL_MAX_DIES = 4
-AUTO_SERIAL_MIN_TERMINALS = 512
-AUTO_SERIAL_MIN_CHUNK_ROWS = 16
-
-
-def resolve_batch_eval(
-    batch_eval,
-    die_count: int,
-    terminal_count: int,
-    row_bytes: Optional[int] = None,
-) -> bool:
-    """Resolve an ``EFAConfig.batch_eval`` value to a concrete bool.
-
-    ``True``/``False`` pass through; ``"auto"`` picks per design (see the
-    threshold constants above).  ``row_bytes`` — the evaluator's live
-    scratch bytes per batch row — switches auto to the memory-aware rule;
-    omitted, the legacy terminal-count rule applies.  Either way the
-    chosen path returns the bit-identical winner — auto only trades
-    wall-clock.
-    """
-    if batch_eval == "auto":
-        if row_bytes is not None:
-            from .estimator import batch_chunk_bytes
-
-            rows = batch_chunk_bytes() // max(1, row_bytes)
-            return not (
-                die_count <= AUTO_SERIAL_MAX_DIES
-                and rows < AUTO_SERIAL_MIN_CHUNK_ROWS
-            )
-        return not (
-            die_count <= AUTO_SERIAL_MAX_DIES
-            and terminal_count >= AUTO_SERIAL_MIN_TERMINALS
-        )
-    if isinstance(batch_eval, bool):
-        return batch_eval
-    raise ValueError(
-        f"batch_eval must be True, False or 'auto', got {batch_eval!r}"
-    )
+_INF = float("inf")
+# Candidates per heartbeat tick (and per in-pair budget check of the
+# scalar kernel).
+_TICK = 4096
 
 logger = get_logger("floorplan.efa")
-# Progress log cadence: every this-many candidates at the existing
-# periodic budget-check site, so the hot loop gains no extra branches.
-_PROGRESS_EVERY = 1 << 18
 
 
 @dataclass
@@ -132,13 +71,6 @@ class EFAConfig:
     inferior_cut: bool = False
     fixed_orientations: Optional[Mapping[str, Orientation]] = None
     time_budget_s: Optional[float] = None
-    # Score each sequence pair's whole 4^n orientation sweep in one
-    # batched pack + hpwl_batch pass (bit-identical result; see
-    # repro.floorplan.batch).  False = the scalar per-combination loop;
-    # "auto" = pick per design via :func:`resolve_batch_eval` (serial
-    # only on small-sweep, terminal-heavy designs where the batched
-    # kernel is memory-bound).
-    batch_eval: "bool | str" = True
     # Optional enumeration window: restrict gamma_plus / gamma_minus to
     # lexicographic rank intervals [lo, hi).  None = the full n! range.
     # Windows compose with the parallel sharder (shards partition the
@@ -170,8 +102,8 @@ class EnumerativeFloorplanner:
         self.evaluator = FastHpwlEvaluator(design)
         self._die_ids = self.evaluator.die_ids
         self._prepare_dims()
-        # Batched orientation-sweep tables, built lazily on the first
-        # batched run() and reused across calls: the parallel executor
+        # Orientation-sweep tables, built lazily by the first run() on
+        # the sweep kernel and reused across calls: the parallel executor
         # runs many shards through one planner, and rebuilding the
         # (n, 4^n) tables per shard wastes ~15ms apiece at n=8.
         self._sweep: Optional[OrientationSweep] = None
@@ -263,9 +195,9 @@ class EnumerativeFloorplanner:
             )
         stats = SearchStats(sequence_pairs_total=(hi - lo) * (mhi - mlo))
         budget = TimeBudget(cfg.time_budget_s)
-        # Heartbeats ride the loop's existing periodic sites (per plus
-        # permutation, per batched sweep, every 4096 scalar candidates),
-        # so a disabled reporter costs one branch at each.
+        # Heartbeats ride the loop's periodic sites (per plus permutation
+        # and one tick every _TICK candidates), so a disabled reporter
+        # costs one branch at each.
         progress = Progress(
             cfg.name,
             total=stats.sequence_pairs_total,
@@ -273,7 +205,6 @@ class EnumerativeFloorplanner:
             logger=logger,
         )
         start = time.monotonic()
-        log_progress = logger.isEnabledFor(10)  # logging.DEBUG
         logger.info(
             "%s: enumerating %d dies, %d sequence pairs%s%s",
             cfg.name,
@@ -285,27 +216,26 @@ class EnumerativeFloorplanner:
             else f", budget {cfg.time_budget_s:.1f}s",
         )
 
-        evaluator = self.evaluator
-        best_wl = float("inf")
-        best: Optional[Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]] = None
-        # Global enumeration rank of `best`: (plus_rank, minus_rank,
-        # combo_index).  Equal-wl candidates resolve to the lowest key, so
-        # any partition of the search space merges back to the serial
-        # winner.  In a serial run keys only grow, so the tie branch below
-        # never replaces anything — it exists for provability and for the
-        # cross-shard merge.
+        best_wl = _INF
+        best_pair: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
+        # Global enumeration rank of the best candidate: (plus_rank,
+        # minus_rank, combo_index).  Equal-wl candidates resolve to the
+        # lowest key, so any partition of the search space merges back to
+        # the serial winner.  In a serial run keys only grow, so the tie
+        # branch of the fold never replaces anything — it exists for
+        # provability and for the cross-shard merge.
         best_key: Optional[Tuple[int, int, int]] = None
         # The wl the inferior cut prunes against: the tightest of our own
         # best and the shared incumbent.  Every value in it is a real
         # candidate wirelength, and the certified Eq. 2 bound only ever
         # cuts candidates strictly above it, so no pruning order — serial,
         # sharded, or incumbent-fed — can lose the winner or a tie.
-        prune_wl = float("inf")
+        prune_wl = _INF
         # Tightest Eq. 2 bound among *pruned* branches.  Every explored
         # pair is evaluated exactly and every pruned one bounds its
         # candidates from below, so min(best_wl, min_pruned_bound)
         # certifies the whole enumerated window (see _certify_bound).
-        min_pruned_bound = float("inf")
+        min_pruned_bound = _INF
 
         if cfg.fixed_orientations is not None:
             fixed_codes: Optional[Tuple[int, ...]] = tuple(
@@ -314,53 +244,26 @@ class EnumerativeFloorplanner:
             )
         else:
             fixed_codes = None
-        # Batched sweep: only worthwhile with a real orientation sweep to
-        # amortize over (EFA_dop has one combination per sequence pair),
-        # and only while the (n, 4^n) sweep tables stay small.
-        use_batch = (
-            resolve_batch_eval(
-                cfg.batch_eval,
-                n,
-                evaluator.terminal_count,
-                row_bytes=evaluator.batch_row_bytes(),
-            )
-            and fixed_codes is None
-            and n <= MAX_SWEEP_DIES
-        )
-        if use_batch:
-            if self._sweep is None:
-                self._sweep = OrientationSweep(self._frame.dims_by_code)
-            sweep = self._sweep
+        # The kernel follows from the input: the vectorized sweep needs a
+        # real orientation sweep to amortize over and (n, 4^n) tables that
+        # fit; everything else — EFA_dop's one vector per pair, or n above
+        # MAX_SWEEP_DIES — is scored one candidate at a time.
+        use_sweep = fixed_codes is None and n <= MAX_SWEEP_DIES
+        if use_sweep:
+            best_of_pair = self._sweep_kernel(stats, budget)
         else:
-            sweep = None
-        if fixed_codes is not None:
-            orient_combos: Optional[Tuple[Tuple[int, ...], ...]] = (
-                fixed_codes,
-            )
-        elif use_batch:
-            orient_combos = None  # the sweep's code matrix replaces it
-        else:
-            orient_combos = tuple(product(range(4), repeat=n))
-        # Chunk the sweep so one hpwl_batch call's live scratch stays
-        # inside the byte budget; the evaluator derives the row count
-        # from its actual row width and dtype (see batch_chunk_rows).
-        chunk_size = evaluator.batch_chunk_rows()
+            best_of_pair = self._scalar_kernel(stats, budget, fixed_codes)
+        tick_pairs = max(1, _TICK // (4**n if fixed_codes is None else 1))
+        # The sweep pulls the shared incumbent once per sequence pair (a
+        # sweep is >= 4^n candidates); the scalar kernel at each tick.
+        pull_each_pair = use_sweep and incumbent is not None
 
-        die_x = np.empty(n)
-        die_y = np.empty(n)
-        codes_arr = np.empty(n, dtype=np.int64)
-        frame = self._frame
-        dims_by_code = frame.dims_by_code
         low_dims = self._low_dims
         thin_dims = self._thin_dims
-        avail_w = frame.avail_w + _EPS
-        avail_h = frame.avail_h + _EPS
-        center_x = frame.center.x
-        center_y = frame.center.y
-        half_cd = frame.half_cd
+        avail_w = self._frame.avail_w + _EPS
+        avail_h = self._frame.avail_h + _EPS
         use_illegal = cfg.illegal_cut
         use_inferior = cfg.inferior_cut
-        candidate_count = 0
 
         indices = tuple(range(n))
         rank_plus = [0] * n
@@ -388,10 +291,7 @@ class EnumerativeFloorplanner:
                 if budget.expired:
                     timed_out = True
                     break
-                if sweep is not None and incumbent is not None:
-                    # The scalar loop pulls the shared incumbent every
-                    # 4096 candidates; the batched loop pulls once per
-                    # sequence pair (each sweep is >= 4^n candidates).
+                if pull_each_pair:
                     shared = incumbent.peek()
                     if shared < prune_wl:
                         prune_wl = shared
@@ -403,7 +303,7 @@ class EnumerativeFloorplanner:
                     ):
                         stats.pruned_illegal += 1
                         continue
-                    if use_inferior and prune_wl < float("inf"):
+                    if use_inferior and prune_wl < _INF:
                         stats.lower_bound_evaluations += 1
                         bound = self._lower_bound(low_pack, thin_pack)
                         if bound > prune_wl + _EPS:
@@ -413,159 +313,37 @@ class EnumerativeFloorplanner:
                             continue
 
                 stats.sequence_pairs_explored += 1
-                if sweep is not None:
-                    # Batched path: pack all 4^n orientation variants of
-                    # this sequence pair in one vectorized longest-path
-                    # pass, score the legal ones with chunked hpwl_batch
-                    # calls, and fold the sweep winner into the running
-                    # best.  Outline checks, wirelengths and the
-                    # (plus_rank, minus_rank, combo_index) tie-break are
-                    # bit-identical to the scalar loop below.
-                    xs_b, ys_b, w_b, h_b = sweep.pack_all(minus, rank_plus)
-                    legal_idx = np.flatnonzero(
-                        ~((w_b > avail_w) | (h_b > avail_h))
-                    )
-                    candidate_count += sweep.size
-                    stats.floorplans_rejected_outline += (
-                        sweep.size - legal_idx.size
-                    )
-                    sweep_wl = float("inf")
-                    sweep_combo = -1
-                    if legal_idx.size:
-                        off_x_b, off_y_b = frame.offsets(w_b, h_b)
-                        xs_t = xs_b.T  # (4^n, n) candidate-major views
-                        ys_t = ys_b.T
-                        for lo_c in range(0, legal_idx.size, chunk_size):
-                            sel = legal_idx[lo_c : lo_c + chunk_size]
-                            wl_b = evaluator.hpwl_batch(
-                                xs_t[sel] + off_x_b[sel, None],
-                                ys_t[sel] + off_y_b[sel, None],
-                                sweep.codes[sel],
-                            )
-                            stats.floorplans_evaluated += sel.size
-                            j = int(np.argmin(wl_b))
-                            if wl_b[j] < sweep_wl:
-                                # Strict < keeps the earliest chunk on
-                                # ties; argmin keeps the earliest index
-                                # within a chunk — together the lowest
-                                # combo_index, like the scalar loop.
-                                sweep_wl = float(wl_b[j])
-                                sweep_combo = int(sel[j])
-                            if budget.expired:
-                                timed_out = True
-                                break
-                    if sweep_combo >= 0:
-                        if sweep_wl < best_wl:
-                            best_wl = sweep_wl
-                            best = (
-                                plus,
-                                minus,
-                                tuple(
-                                    int(c) for c in sweep.codes[sweep_combo]
-                                ),
-                            )
-                            best_key = (plus_rank, minus_rank, sweep_combo)
-                            record_incumbent(sweep_wl, source=cfg.name)
-                            if sweep_wl < prune_wl:
-                                prune_wl = sweep_wl
-                            if incumbent is not None:
-                                incumbent.offer(sweep_wl)
-                        elif sweep_wl == best_wl and best is not None:
-                            key = (plus_rank, minus_rank, sweep_combo)
-                            if key < best_key:
-                                best = (
-                                    plus,
-                                    minus,
-                                    tuple(
-                                        int(c)
-                                        for c in sweep.codes[sweep_combo]
-                                    ),
-                                )
-                                best_key = key
+                # The pair's best legal candidate (lowest combo index on
+                # ties; partial when the budget ran out inside the pair),
+                # folded into the incumbent here and only here.
+                wl, combo_index, timed_out = best_of_pair(minus, rank_plus)
+                if wl < best_wl:
+                    best_wl = wl
+                    best_pair = (plus, minus)
+                    best_key = (plus_rank, minus_rank, combo_index)
+                    record_incumbent(wl, source=cfg.name)
+                    if wl < prune_wl:
+                        prune_wl = wl
+                    if incumbent is not None:
+                        incumbent.offer(wl)
+                elif wl == best_wl and best_pair is not None:
+                    key = (plus_rank, minus_rank, combo_index)
+                    if key < best_key:
+                        best_pair = (plus, minus)
+                        best_key = key
+                if stats.sequence_pairs_explored % tick_pairs == 0:
+                    if incumbent is not None:
+                        shared = incumbent.peek()
+                        if shared < prune_wl:
+                            prune_wl = shared
                     progress.update(
                         done=stats.sequence_pairs_explored
                         + stats.pruned_illegal
                         + stats.pruned_inferior,
                         best=best_wl,
-                        candidates=candidate_count,
+                        candidates=stats.floorplans_evaluated
+                        + stats.floorplans_rejected_outline,
                     )
-                    if log_progress and candidate_count % _PROGRESS_EVERY < sweep.size:
-                        logger.debug(
-                            "%s: %d candidates, %d/%d sequence pairs, "
-                            "best estWL %.4f",
-                            cfg.name,
-                            candidate_count,
-                            stats.sequence_pairs_explored,
-                            stats.sequence_pairs_total,
-                            best_wl,
-                        )
-                    if timed_out:
-                        break
-                    continue
-                for combo_idx, combo in enumerate(orient_combos):
-                    candidate_count += 1
-                    # One sequence pair can hide 4^n inner candidates;
-                    # re-check the budget (and pull the shared incumbent)
-                    # periodically so truncation stays sharp even inside a
-                    # single sequence pair.
-                    if candidate_count % 4096 == 0:
-                        if budget.expired:
-                            timed_out = True
-                            break
-                        if incumbent is not None:
-                            shared = incumbent.peek()
-                            if shared < prune_wl:
-                                prune_wl = shared
-                        progress.update(
-                            done=stats.sequence_pairs_explored
-                            + stats.pruned_illegal
-                            + stats.pruned_inferior,
-                            best=best_wl,
-                            candidates=candidate_count,
-                        )
-                        if (
-                            log_progress
-                            and candidate_count % _PROGRESS_EVERY == 0
-                        ):
-                            logger.debug(
-                                "%s: %d candidates, %d/%d sequence pairs, "
-                                "best estWL %.4f",
-                                cfg.name,
-                                candidate_count,
-                                stats.sequence_pairs_explored,
-                                stats.sequence_pairs_total,
-                                best_wl,
-                            )
-                    dims = [dims_by_code[i][combo[i]] for i in indices]
-                    xs, ys, w, h = self._pack(minus, rank_plus, dims)
-                    if w > avail_w or h > avail_h:
-                        stats.floorplans_rejected_outline += 1
-                        continue
-                    # Centre the arrangement on the interposer (Fig. 3
-                    # line 5); positions below are of the *actual* dies
-                    # (swollen position plus the c_d/2 inset).
-                    off_x = center_x - w / 2.0 + half_cd
-                    off_y = center_y - h / 2.0 + half_cd
-                    for i in indices:
-                        die_x[i] = xs[i] + off_x
-                        die_y[i] = ys[i] + off_y
-                        codes_arr[i] = combo[i]
-                    wl = evaluator.hpwl(die_x, die_y, codes_arr)
-                    stats.floorplans_evaluated += 1
-                    if wl < best_wl:
-                        best_wl = wl
-                        best = (plus, minus, combo)
-                        best_key = (plus_rank, minus_rank, combo_idx)
-                        record_incumbent(wl, source=cfg.name)
-                        if wl < prune_wl:
-                            prune_wl = wl
-                        if incumbent is not None:
-                            incumbent.offer(wl)
-                    elif wl == best_wl and best is not None:
-                        key = (plus_rank, minus_rank, combo_idx)
-                        if key < best_key:
-                            best = (plus, minus, combo)
-                            best_key = key
                 if timed_out:
                     break
             progress.update(
@@ -600,18 +378,143 @@ class EnumerativeFloorplanner:
         stats.certified_lower_bound = self._certify_bound(
             best_wl, min_pruned_bound, stats.timed_out
         )
-        if best is None:
+        if best_pair is None:
             logger.warning("%s: no legal floorplan found", cfg.name)
-            return FloorplanResult(None, float("inf"), stats, cfg.name)
-        floorplan = self._realize(*best)
+            return FloorplanResult(None, _INF, stats, cfg.name)
+        if fixed_codes is not None:
+            combo = fixed_codes
+        else:
+            # Combo indices follow itertools.product(range(4), repeat=n)
+            # order — first die slowest — which is C-order unravelling.
+            combo = tuple(
+                int(c) for c in np.unravel_index(best_key[2], (4,) * n)
+            )
+        candidate = (*best_pair, combo)
         return FloorplanResult(
-            floorplan,
+            self.realize_candidate(*candidate),
             best_wl,
             stats,
             cfg.name,
-            candidate=best,
+            candidate=candidate,
             candidate_key=best_key,
         )
+
+    # -- candidate kernels -------------------------------------------------------
+    #
+    # Each returns ``best_of_pair(minus, rank_plus)``, which scores every
+    # orientation vector of one sequence pair, counts evaluated and
+    # outline-rejected floorplans into ``stats`` and returns ``(wl,
+    # combo_index, timed_out)`` for its best legal one (the lowest combo
+    # index on ties; ``(inf, -1, ...)`` when none is legal).  The two
+    # kernels are bit-identical to each other.
+
+    def _sweep_kernel(self, stats: SearchStats, budget: TimeBudget):
+        """Score all ``4^n`` orientation vectors of a pair at once: one
+        :meth:`OrientationSweep.pack_all` pass, then ``hpwl_batch`` over
+        the legal rows in byte-budgeted chunks, checking the time budget
+        after each chunk."""
+        if self._sweep is None:
+            self._sweep = OrientationSweep(self._frame.dims_by_code)
+        sweep = self._sweep
+        frame = self._frame
+        hpwl_batch = self.evaluator.hpwl_batch
+        chunk_rows = self.evaluator.batch_chunk_rows()
+        avail_w = frame.avail_w + _EPS
+        avail_h = frame.avail_h + _EPS
+        codes = sweep.codes
+        size = sweep.size
+
+        def best_of_pair(minus, rank_plus):
+            xs, ys, w, h = sweep.pack_all(minus, rank_plus)
+            legal = np.flatnonzero(~((w > avail_w) | (h > avail_h)))
+            stats.floorplans_rejected_outline += size - legal.size
+            best_wl = _INF
+            best_combo = -1
+            if legal.size:
+                off_x, off_y = frame.offsets(w, h)
+                xs_t = xs.T  # (4^n, n) candidate-major views
+                ys_t = ys.T
+                for lo in range(0, legal.size, chunk_rows):
+                    sel = legal[lo : lo + chunk_rows]
+                    wl = hpwl_batch(
+                        xs_t[sel] + off_x[sel, None],
+                        ys_t[sel] + off_y[sel, None],
+                        codes[sel],
+                    )
+                    stats.floorplans_evaluated += sel.size
+                    j = int(np.argmin(wl))
+                    # Strict < keeps the earliest chunk on ties and argmin
+                    # the earliest row within one: the lowest combo index.
+                    if wl[j] < best_wl:
+                        best_wl = float(wl[j])
+                        best_combo = int(sel[j])
+                    if budget.expired:
+                        return best_wl, best_combo, True
+            return best_wl, best_combo, False
+
+        return best_of_pair
+
+    def _scalar_kernel(
+        self,
+        stats: SearchStats,
+        budget: TimeBudget,
+        fixed_codes: Optional[Tuple[int, ...]],
+    ):
+        """Score a pair's orientation vectors one at a time.
+
+        Serves a fixed vector (EFA_dop: one candidate per pair, where a
+        one-row sweep costs over 10x a scalar pack) and die counts above
+        ``MAX_SWEEP_DIES``, where one pair hides ``4^n`` candidates and
+        the time budget is re-checked every ``_TICK`` of them.
+        """
+        frame = self._frame
+        n = len(self._die_ids)
+        indices = tuple(range(n))
+        pack = self._pack
+        hpwl = self.evaluator.hpwl
+        avail_w = frame.avail_w + _EPS
+        avail_h = frame.avail_h + _EPS
+        center_x = frame.center.x
+        center_y = frame.center.y
+        half_cd = frame.half_cd
+        die_x = np.empty(n)
+        die_y = np.empty(n)
+        codes_arr = np.empty(n, dtype=np.int64)
+        dims_by_code = frame.dims_by_code
+        fixed = None
+        if fixed_codes is not None:
+            fixed = ((fixed_codes, frame.dims(fixed_codes)),)
+
+        def best_of_pair(minus, rank_plus):
+            best_wl = _INF
+            best_combo = -1
+            combos = fixed or zip(
+                product(range(4), repeat=n), product(*dims_by_code)
+            )
+            for combo_index, (codes, dims) in enumerate(combos):
+                if combo_index and not combo_index % _TICK and budget.expired:
+                    return best_wl, best_combo, True
+                xs, ys, w, h = pack(minus, rank_plus, dims)
+                if w > avail_w or h > avail_h:
+                    stats.floorplans_rejected_outline += 1
+                    continue
+                # Centre the arrangement on the interposer (Fig. 3 line
+                # 5); positions below are of the *actual* dies (swollen
+                # position plus the c_d/2 inset).
+                off_x = center_x - w / 2.0 + half_cd
+                off_y = center_y - h / 2.0 + half_cd
+                for i in indices:
+                    die_x[i] = xs[i] + off_x
+                    die_y[i] = ys[i] + off_y
+                    codes_arr[i] = codes[i]
+                wl = hpwl(die_x, die_y, codes_arr)
+                stats.floorplans_evaluated += 1
+                if wl < best_wl:
+                    best_wl = wl
+                    best_combo = combo_index
+            return best_wl, best_combo, False
+
+        return best_of_pair
 
     # -- internals ---------------------------------------------------------------
 
@@ -724,19 +627,6 @@ class EnumerativeFloorplanner:
         )
         return lx_min + ly_min
 
-    def _realize(
-        self,
-        plus: Tuple[int, ...],
-        minus: Tuple[int, ...],
-        combo: Tuple[int, ...],
-    ) -> Floorplan:
-        """Re-pack the winning candidate into a :class:`Floorplan`."""
-        rank_plus = [0] * len(plus)
-        for r, i in enumerate(plus):
-            rank_plus[i] = r
-        packing = self._pack(minus, rank_plus, self._frame.dims(combo))
-        return self._frame.floorplan(packing, combo)
-
     def realize_candidate(
         self,
         plus: Tuple[int, ...],
@@ -749,16 +639,11 @@ class EnumerativeFloorplanner:
         candidate in the parent process from just the index tuples instead
         of shipping placements across the process boundary.
         """
-        return self._realize(plus, minus, combo)
-
-    def winning_sequence_pair(
-        self, plus: Tuple[int, ...], minus: Tuple[int, ...]
-    ) -> SequencePair:
-        """Expose a winner's index permutations as a :class:`SequencePair`."""
-        return SequencePair(
-            tuple(self._die_ids[i] for i in plus),
-            tuple(self._die_ids[i] for i in minus),
-        )
+        rank_plus = [0] * len(plus)
+        for r, i in enumerate(plus):
+            rank_plus[i] = r
+        packing = self._pack(minus, rank_plus, self._frame.dims(combo))
+        return self._frame.floorplan(packing, combo)
 
 
 def run_efa(

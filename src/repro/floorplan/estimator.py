@@ -263,11 +263,6 @@ class FastHpwlEvaluator:
         return len(self.die_ids)
 
     @property
-    def terminal_count(self) -> int:
-        """Number of die-borne terminals (escape points excluded)."""
-        return self._terminal_count
-
-    @property
     def signal_count(self) -> int:
         """Number of signals (nets) in the design."""
         return len(self._starts)

@@ -32,16 +32,15 @@ def run_efa_mix(
     time_budget_s: Optional[float] = None,
     die_threshold: int = DEFAULT_DIE_THRESHOLD,
     workers: int = 1,
-    batch_eval: "bool | str" = True,
+    checkpoint=None,
 ) -> FloorplanResult:
     """EFA_c3 for small die counts, EFA_dop otherwise.
 
     ``workers > 1`` runs the EFA_c3 arm on the sharded process pool
-    (identical result, shorter wall-clock on multi-core hosts);
-    ``batch_eval=False`` forces the scalar per-combination inner loop
-    (same winner, mainly for benchmarking and cross-checks) and
-    ``batch_eval="auto"`` picks per design (see
-    :func:`repro.floorplan.resolve_batch_eval`).
+    (identical result, shorter wall-clock on multi-core hosts).  A
+    ``checkpoint`` store routes that arm through the same shard executor
+    (serially at ``workers=1``), which journals completed shards there so
+    an interrupted run resumes (see :func:`repro.parallel.run_parallel_efa`).
     """
     logger.info(
         "EFA_mix: %d dies -> %s%s",
@@ -56,17 +55,20 @@ def run_efa_mix(
             illegal_cut=True,
             inferior_cut=True,
             time_budget_s=time_budget_s,
-            batch_eval=batch_eval,
         )
-        if workers > 1:
+        if workers > 1 or checkpoint is not None:
             # Imported here: repro.parallel depends on repro.floorplan, so
             # a module-level import would be circular.
             from ..parallel import ParallelEFAConfig, run_parallel_efa
 
             result = run_parallel_efa(
-                design, ParallelEFAConfig(workers=workers, efa=config)
+                design,
+                ParallelEFAConfig(workers=workers, efa=config),
+                checkpoint=checkpoint,
             )
-            result.algorithm = f"EFA_mix(c3[x{workers}])"
+            result.algorithm = (
+                f"EFA_mix(c3[x{workers}])" if workers > 1 else "EFA_mix(c3)"
+            )
             return result
         result = EnumerativeFloorplanner(design, config).run()
         result.algorithm = "EFA_mix(c3)"

@@ -43,10 +43,6 @@ class FlowConfig:
     # 1 = serial; >1 shards EFA_mix's enumeration arm across a process
     # pool with a guaranteed-identical result.
     floorplan_workers: int = 1
-    # Batched orientation-sweep evaluation for the EFA arm: True, False,
-    # or "auto" (pick per design; bit-identical winner either way — see
-    # repro.floorplan.resolve_batch_eval).
-    floorplan_batch_eval: "bool | str" = True
     # Race EFA_c3 / EFA_dop / SA on the pool instead of running EFA_mix;
     # the best legal floorplan wins.  Overrides floorplan_workers.
     portfolio: bool = False
@@ -61,11 +57,10 @@ class FlowConfig:
 FLOW_CONFIG_SCHEMA_VERSION = 1
 
 # Fields that change *how fast* the flow runs but provably not *what* it
-# returns: worker count (the sharded search is bit-identical to serial
-# for any pool size) and the batched-vs-scalar evaluation path (same
-# winner by construction).  The service's cache key drops them so that
+# returns: the worker count (the sharded search is bit-identical to
+# serial for any pool size).  The service's cache key drops them so that
 # e.g. a 4-worker resubmission of a design solved serially is a hit.
-_RESULT_INVARIANT_FIELDS = ("floorplan_workers", "floorplan_batch_eval")
+_RESULT_INVARIANT_FIELDS = ("floorplan_workers",)
 
 
 def flow_config_to_dict(cfg: FlowConfig) -> Dict[str, Any]:
@@ -80,7 +75,6 @@ def flow_config_to_dict(cfg: FlowConfig) -> Dict[str, Any]:
         "floorplan_budget_s": cfg.floorplan_budget_s,
         "post_optimize": cfg.post_optimize,
         "floorplan_workers": cfg.floorplan_workers,
-        "floorplan_batch_eval": cfg.floorplan_batch_eval,
         "portfolio": cfg.portfolio,
         "seed": cfg.seed,
         "assigner": {
@@ -111,10 +105,12 @@ def flow_config_from_dict(data: Dict[str, Any]) -> FlowConfig:
         "floorplan_budget_s",
         "post_optimize",
         "floorplan_workers",
-        "floorplan_batch_eval",
         "portfolio",
         "seed",
         "assigner",
+        # Retired (it chose between two bit-identical EFA paths); specs
+        # persisted before its removal still carry it, so it is dropped.
+        "floorplan_batch_eval",
     }
     unknown = set(data) - known
     if unknown:
@@ -141,7 +137,6 @@ def flow_config_from_dict(data: Dict[str, Any]) -> FlowConfig:
         assigner=MCMFAssignerConfig(**asg),
         post_optimize=bool(data.get("post_optimize", False)),
         floorplan_workers=int(data.get("floorplan_workers", 1)),
-        floorplan_batch_eval=data.get("floorplan_batch_eval", True),
         portfolio=bool(data.get("portfolio", False)),
         seed=int(data.get("seed", 0)),
     )
@@ -248,7 +243,6 @@ def run_flow(
                     design,
                     time_budget_s=cfg.floorplan_budget_s,
                     workers=cfg.floorplan_workers,
-                    batch_eval=cfg.floorplan_batch_eval,
                 )
             if not fp_result.found:
                 logger.error(

@@ -44,7 +44,7 @@ import multiprocessing as mp
 import os
 import queue as queue_mod
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from .. import obs
@@ -458,7 +458,9 @@ def _run_serial(
     checkpoint=None,
 ) -> List[Dict[str, Any]]:
     """Single-process fallback walking the identical shard sequence."""
-    planner = EnumerativeFloorplanner(design, config)
+    # The planner's own copy: the walk re-sets its budget per shard and
+    # must not shrink the caller's config.
+    planner = EnumerativeFloorplanner(design, replace(config))
     incumbent = LocalIncumbent(seed_wl)
     records = []
     deadline = (

@@ -32,6 +32,7 @@ result (see :mod:`repro.parallel.executor`).
 
 from __future__ import annotations
 
+import functools
 import json
 import multiprocessing as mp
 import os
@@ -46,6 +47,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .. import obs
+from ..floorplan import run_efa_mix
 from ..flow import (
     FlowConfig,
     flow_config_cache_dict,
@@ -125,8 +127,8 @@ def cache_key(design: Design, cfg: FlowConfig) -> str:
     """The content hash a finished flow result is cached under.
 
     ``sha256(canonical_json({design, result-affecting config, solver
-    tag}))`` — invariant to dict ordering, float spelling, worker count
-    and the batched-vs-scalar evaluation path.
+    tag}))`` — invariant to dict ordering, float spelling and worker
+    count.
     """
     return content_hash(
         {
@@ -196,37 +198,6 @@ def _open_checkpoint(path: Path) -> CheckpointStore:
     return CheckpointStore(path)
 
 
-def _mix_floorplanner(cfg: FlowConfig, checkpoint: CheckpointStore):
-    """The EFA_c3 arm of EFA_mix, run through the checkpointing executor.
-
-    Identity with the stock flow path is inherited from
-    :func:`repro.parallel.run_parallel_efa`'s any-worker-count guarantee
-    (``workers=1`` walks the same shards serially).
-    """
-    from ..floorplan import EFAConfig
-    from ..parallel import ParallelEFAConfig, run_parallel_efa
-
-    def floorplanner(design: Design):
-        workers = max(1, cfg.floorplan_workers)
-        efa_cfg = EFAConfig(
-            illegal_cut=True,
-            inferior_cut=True,
-            time_budget_s=cfg.floorplan_budget_s,
-            batch_eval=cfg.floorplan_batch_eval,
-        )
-        result = run_parallel_efa(
-            design,
-            ParallelEFAConfig(workers=workers, efa=efa_cfg),
-            checkpoint=checkpoint,
-        )
-        result.algorithm = (
-            f"EFA_mix(c3[x{workers}])" if workers > 1 else "EFA_mix(c3)"
-        )
-        return result
-
-    return floorplanner
-
-
 def _result_payload(design: Design, result) -> Dict[str, Any]:
     """The JSON result document a finished job stores (and caches)."""
     wl = result.wirelength
@@ -278,11 +249,16 @@ def _job_worker_main(job_dir: str, parent_pid: int, event_queue) -> None:
         cfg = flow_config_from_dict(spec["config"])
         floorplanner = None
         checkpoint: Optional[CheckpointStore] = None
-        from ..floorplan.mix import DEFAULT_DIE_THRESHOLD
-
-        if not cfg.portfolio and len(design.dies) <= DEFAULT_DIE_THRESHOLD:
+        if not cfg.portfolio:
+            # EFA_mix journals its c3 arm's completed shards here; the
+            # store touches no file until a record arrives.
             checkpoint = _open_checkpoint(job_path / "checkpoint.json")
-            floorplanner = _mix_floorplanner(cfg, checkpoint)
+            floorplanner = functools.partial(
+                run_efa_mix,
+                time_budget_s=cfg.floorplan_budget_s,
+                workers=max(1, cfg.floorplan_workers),
+                checkpoint=checkpoint,
+            )
         raw_profile = spec.get("profile")
         profile_fmt = obs.profile_format(raw_profile if raw_profile else None)
         profiler = (

@@ -60,3 +60,34 @@ def build_design(**overrides):
         signals=signals,
         **overrides,
     )
+
+
+def run_efa_scalar(monkeypatch, design, config):
+    """``run_efa`` on the scalar kernel: with no die count small enough
+    for the sweep, EFA scores every candidate one at a time."""
+    import repro.floorplan.efa
+    from repro.floorplan import run_efa
+
+    with monkeypatch.context() as patch:
+        patch.setattr(repro.floorplan.efa, "MAX_SWEEP_DIES", 0)
+        return run_efa(design, config)
+
+
+def assert_same_search(a, b):
+    """Same winner, tie-break key, placements and counters."""
+    assert a.est_wl == b.est_wl  # exact
+    assert a.candidate == b.candidate
+    assert a.candidate_key == b.candidate_key
+    assert a.floorplan.placements == b.floorplan.placements
+    for field in (
+        "sequence_pairs_total",
+        "sequence_pairs_explored",
+        "pruned_illegal",
+        "pruned_inferior",
+        "lower_bound_evaluations",
+        "floorplans_evaluated",
+        "floorplans_rejected_outline",
+        "timed_out",
+        "certified_lower_bound",
+    ):
+        assert getattr(a.stats, field) == getattr(b.stats, field), field

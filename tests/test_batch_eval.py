@@ -8,8 +8,8 @@ empty-segment regression it exposed:
 * ``OrientationSweep.pack_all`` — bit-identical to the scalar
   ``pack_indices`` per orientation combination, with the combination
   axis in ``itertools.product`` order;
-* the batched EFA inner loop — same winner (est_wl, candidate and
-  candidate key) and same counters as the serial combo loop;
+* EFA's sweep kernel — same winner (est_wl, candidate and candidate
+  key), placements and counters as its scalar kernel;
 * escape-only signals (zero die-borne terminals): before the fix a
   mid-list empty segment silently borrowed the next signal's first
   terminal and a trailing one raised IndexError inside numpy.
@@ -41,6 +41,8 @@ from repro.model import (
     Signal,
     TSV,
 )
+
+from .helpers import assert_same_search, run_efa_scalar
 
 
 def make_escape_design(escape_position: str) -> Design:
@@ -272,25 +274,68 @@ class TestBatchedEFAIdentity:
             {"illegal_cut": True, "inferior_cut": True},
         ],
     )
-    def test_same_winner_and_counters(self, cfg_kwargs):
+    def test_same_winner_and_counters(self, monkeypatch, cfg_kwargs):
         design = load_tiny(die_count=3, signal_count=8)
-        serial = run_efa(design, EFAConfig(batch_eval=False, **cfg_kwargs))
-        batch = run_efa(design, EFAConfig(batch_eval=True, **cfg_kwargs))
-        assert batch.est_wl == serial.est_wl  # exact
-        assert batch.candidate == serial.candidate
-        assert batch.candidate_key == serial.candidate_key
-        for field in (
-            "sequence_pairs_total",
-            "sequence_pairs_explored",
-            "pruned_illegal",
-            "pruned_inferior",
-            "floorplans_evaluated",
-            "floorplans_rejected_outline",
-        ):
-            assert getattr(batch.stats, field) == getattr(
-                serial.stats, field
-            ), field
-        assert batch.floorplan.placements == serial.floorplan.placements
+        scalar = run_efa_scalar(monkeypatch, design, EFAConfig(**cfg_kwargs))
+        sweep = run_efa(design, EFAConfig(**cfg_kwargs))
+        assert_same_search(sweep, scalar)
+
+
+class _CountdownBudget:
+    """A ``TimeBudget`` stand-in that expires at its ``checks + 1``-th
+    look, so a test can stop the search at an exact point."""
+
+    def __init__(self, checks):
+        self.left = checks
+
+    @property
+    def expired(self):
+        self.left -= 1
+        return self.left < 0
+
+
+class TestTruncatedPair:
+    """A budget that runs out inside a sequence pair still folds the
+    candidates that pair scored.  The window holds one pair whose first
+    orientation vector is the tiny4 optimum (golden key (7, 0, 0))."""
+
+    WINDOW = dict(plus_range=(7, 8), minus_range=(0, 1))
+
+    def _run(self, monkeypatch, checks):
+        import repro.floorplan.efa
+
+        monkeypatch.setattr(
+            repro.floorplan.efa,
+            "TimeBudget",
+            lambda seconds: _CountdownBudget(checks),
+        )
+        design = load_tiny(die_count=4, signal_count=12)
+        result = run_efa(design, EFAConfig(**self.WINDOW))
+        assert result.stats.timed_out
+        assert result.stats.sequence_pairs_explored == 1
+        assert result.est_wl == 12.835204615094574
+        assert result.candidate_key == (7, 0, 0)
+        return result.stats
+
+    def test_scalar_kernel_checks_budget_inside_a_pair(self, monkeypatch):
+        import repro.floorplan.efa
+
+        monkeypatch.setattr(repro.floorplan.efa, "MAX_SWEEP_DIES", 0)
+        monkeypatch.setattr(repro.floorplan.efa, "_TICK", 8)
+        # One look per pair, then one every 8 candidates: expiring at
+        # the second look stops the pair after candidates 0..7.
+        stats = self._run(monkeypatch, checks=1)
+        scored = stats.floorplans_evaluated + stats.floorplans_rejected_outline
+        assert scored == 8
+
+    def test_sweep_kernel_checks_budget_after_each_chunk(self, monkeypatch):
+        design = load_tiny(die_count=4, signal_count=12)
+        row = FastHpwlEvaluator(design).batch_row_bytes()
+        monkeypatch.setenv("REPRO_BATCH_CHUNK_BYTES", str(row))
+        # One-row chunks: expiring after the first chunk leaves exactly
+        # one evaluated candidate.
+        stats = self._run(monkeypatch, checks=1)
+        assert stats.floorplans_evaluated == 1
 
 
 class TestEnumerationWindows:
@@ -375,87 +420,13 @@ class TestChunkBudget:
         the budget to one row per chunk must not move the winner."""
         design = load_tiny(die_count=3, signal_count=8)
         monkeypatch.delenv("REPRO_BATCH_CHUNK_BYTES", raising=False)
-        want = run_efa(design, EFAConfig(batch_eval=True))
+        want = run_efa(design, EFAConfig())
         row = FastHpwlEvaluator(design).batch_row_bytes()
         monkeypatch.setenv("REPRO_BATCH_CHUNK_BYTES", str(row))
-        got = run_efa(design, EFAConfig(batch_eval=True))
+        got = run_efa(design, EFAConfig())
         assert got.est_wl == want.est_wl
         assert got.candidate_key == want.candidate_key
         assert (
             got.stats.floorplans_evaluated
             == want.stats.floorplans_evaluated
-        )
-
-
-class TestAutoBatchEval:
-    """``batch_eval="auto"``: per-design path selection, same winner."""
-
-    @pytest.mark.parametrize(
-        "dies,terminals,expected",
-        [
-            # Few dies but terminal-heavy: per-candidate numpy batches
-            # stay small while each scalar pack is cheap -> serial wins.
-            (4, 713, False),
-            (4, 512, False),  # threshold boundary is inclusive
-            # Terminal-light: batching amortizes the python loop.
-            (4, 376, True),
-            (4, 511, True),
-            # Many dies: the combination axis explodes, batch always.
-            (6, 800, True),
-            (5, 10_000, True),
-        ],
-    )
-    def test_auto_resolution(self, dies, terminals, expected):
-        from repro.floorplan import resolve_batch_eval
-
-        assert resolve_batch_eval("auto", dies, terminals) is expected
-
-    @pytest.mark.parametrize("value", [True, False])
-    def test_bools_pass_through(self, value):
-        from repro.floorplan import resolve_batch_eval
-
-        assert resolve_batch_eval(value, 3, 100) is value
-
-    @pytest.mark.parametrize("bad", ["yes", 1, None, "AUTO"])
-    def test_invalid_values_rejected(self, bad):
-        from repro.floorplan import resolve_batch_eval
-
-        with pytest.raises(ValueError):
-            resolve_batch_eval(bad, 3, 100)
-
-    def test_memory_aware_auto(self, monkeypatch):
-        from repro.floorplan import batch_chunk_bytes, resolve_batch_eval
-        from repro.floorplan.efa import AUTO_SERIAL_MIN_CHUNK_ROWS
-
-        monkeypatch.delenv("REPRO_BATCH_CHUNK_BYTES", raising=False)
-        budget = batch_chunk_bytes()
-        # Plenty of rows fit the budget: batch wins even on a small,
-        # terminal-heavy design the legacy rule would call serial.
-        narrow = budget // (4 * AUTO_SERIAL_MIN_CHUNK_ROWS)
-        assert resolve_batch_eval("auto", 4, 10_000, row_bytes=narrow)
-        # One row eats the whole budget: memory-bound, serial — but only
-        # while the sweep is small enough for the scalar loop to matter.
-        assert resolve_batch_eval("auto", 4, 100, row_bytes=budget) is False
-        assert resolve_batch_eval("auto", 6, 100, row_bytes=budget) is True
-
-    def test_memory_aware_auto_follows_budget_env(self, monkeypatch):
-        from repro.floorplan import resolve_batch_eval
-
-        # The same row width flips serial<->batch with the env budget.
-        monkeypatch.setenv("REPRO_BATCH_CHUNK_BYTES", str(1 << 10))
-        assert resolve_batch_eval("auto", 4, 100, row_bytes=512) is False
-        monkeypatch.setenv("REPRO_BATCH_CHUNK_BYTES", str(1 << 20))
-        assert resolve_batch_eval("auto", 4, 100, row_bytes=512) is True
-
-    def test_auto_matches_explicit_paths_exactly(self):
-        design = load_tiny(die_count=3, signal_count=8)
-        explicit = run_efa(design, EFAConfig(batch_eval=True))
-        auto = run_efa(design, EFAConfig(batch_eval="auto"))
-        assert auto.est_wl == explicit.est_wl
-        assert auto.candidate == explicit.candidate
-        assert auto.candidate_key == explicit.candidate_key
-        assert auto.floorplan.placements == explicit.floorplan.placements
-        assert (
-            auto.stats.floorplans_evaluated
-            == explicit.stats.floorplans_evaluated
         )

@@ -1,8 +1,11 @@
 """Tests for the enumeration-based floorplanner and its accelerations."""
 
+import functools
+from dataclasses import asdict
+
 import pytest
 
-from repro.benchgen import load_tiny
+from repro.benchgen import load_case, load_tiny
 from repro.eval import hpwl_estimate
 from repro.floorplan import (
     EFAConfig,
@@ -14,6 +17,7 @@ from repro.floorplan import (
     SAConfig,
     predetermine_orientations,
 )
+from repro.geometry import Orientation
 
 
 @pytest.fixture(scope="module")
@@ -196,3 +200,182 @@ class TestMixAndSA:
         a = run_sa(design2, SAConfig(seed=5, moves_per_temperature=10))
         b = run_sa(design2, SAConfig(seed=5, moves_per_temperature=10))
         assert a.est_wl == pytest.approx(b.est_wl)
+
+
+def _alternating_vector(design):
+    """R0/R90 alternating over the dies: a fixed (EFA_dop-style) vector."""
+    return {
+        d.id: Orientation.R0 if i % 2 == 0 else Orientation.R90
+        for i, d in enumerate(design.dies)
+    }
+
+
+_GOLDEN_DESIGNS = {
+    "tiny3": lambda: load_tiny(3, signal_count=8),
+    "tiny4": lambda: load_tiny(4, signal_count=12),
+    "t4s": lambda: load_case("t4s"),
+}
+
+_GOLDEN_VARIANTS = {
+    "ori": lambda d: run_efa(d, EFAConfig()),
+    "c1": lambda d: run_efa(d, EFAConfig(illegal_cut=True)),
+    "c2": lambda d: run_efa(d, EFAConfig(inferior_cut=True)),
+    "c3": lambda d: run_efa(
+        d, EFAConfig(illegal_cut=True, inferior_cut=True)
+    ),
+    "fixed": lambda d: run_efa(
+        d, EFAConfig(fixed_orientations=_alternating_vector(d))
+    ),
+    "fixed_cuts": lambda d: run_efa(
+        d,
+        EFAConfig(
+            fixed_orientations=_alternating_vector(d),
+            illegal_cut=True,
+            inferior_cut=True,
+        ),
+    ),
+    "c3_window": lambda d: run_efa(
+        d,
+        EFAConfig(
+            illegal_cut=True,
+            inferior_cut=True,
+            plus_range=(1, 5),
+            minus_range=(2, 6),
+        ),
+    ),
+    "dop": lambda d: run_efa_dop(d),
+}
+
+_GOLDEN_COUNTERS = (
+    "sequence_pairs_total",
+    "sequence_pairs_explored",
+    "pruned_illegal",
+    "pruned_inferior",
+    "lower_bound_evaluations",
+    "floorplans_evaluated",
+    "floorplans_rejected_outline",
+)
+
+_INF = float("inf")
+_TINY3_WIN = ((1, 2, 0), (2, 1, 0), (2, 2, 2))
+_TINY4_WIN = ((1, 0, 3, 2), (0, 1, 2, 3), (0, 0, 0, 0))
+
+# (est_wl, candidate, candidate_key, counters) per (design, variant).
+_GOLDEN = {
+    ("tiny3", "ori"): (
+        3.9291369812806543, _TINY3_WIN, (3, 5, 42),
+        (36, 36, 0, 0, 0, 240, 2064),
+    ),
+    ("tiny3", "c1"): (
+        3.9291369812806543, _TINY3_WIN, (3, 5, 42),
+        (36, 30, 6, 0, 0, 240, 1680),
+    ),
+    ("tiny3", "c2"): (
+        3.9291369812806543, _TINY3_WIN, (3, 5, 42),
+        (36, 36, 0, 0, 35, 240, 2064),
+    ),
+    ("tiny3", "c3"): (
+        3.9291369812806543, _TINY3_WIN, (3, 5, 42),
+        (36, 30, 6, 0, 29, 240, 1680),
+    ),
+    ("tiny3", "fixed"): (_INF, None, None, (36, 36, 0, 0, 0, 0, 36)),
+    ("tiny3", "fixed_cuts"): (_INF, None, None, (36, 30, 6, 0, 0, 0, 30)),
+    ("tiny3", "c3_window"): (
+        3.9291369812806543, _TINY3_WIN, (3, 5, 42),
+        (16, 13, 3, 0, 11, 104, 728),
+    ),
+    ("tiny3", "dop"): (
+        3.9291369812806543, _TINY3_WIN, (3, 5, 0),
+        (36, 36, 0, 0, 0, 4, 32),
+    ),
+    ("tiny4", "ori"): (
+        12.835204615094574, _TINY4_WIN, (7, 0, 0),
+        (576, 576, 0, 0, 0, 23552, 123904),
+    ),
+    ("tiny4", "c1"): (
+        12.835204615094574, _TINY4_WIN, (7, 0, 0),
+        (576, 180, 396, 0, 0, 23552, 22528),
+    ),
+    ("tiny4", "c2"): (
+        12.835204615094574, _TINY4_WIN, (7, 0, 0),
+        (576, 155, 0, 421, 573, 20448, 19232),
+    ),
+    ("tiny4", "c3"): (
+        12.835204615094574, _TINY4_WIN, (7, 0, 0),
+        (576, 107, 396, 73, 179, 20448, 6944),
+    ),
+    ("tiny4", "fixed"): (
+        17.801072848509286, ((0, 1, 3, 2), (1, 0, 2, 3), (0, 1, 0, 1)),
+        (1, 6, 0),
+        (576, 576, 0, 0, 0, 96, 480),
+    ),
+    ("tiny4", "fixed_cuts"): (
+        17.801072848509286, ((0, 1, 3, 2), (1, 0, 2, 3), (0, 1, 0, 1)),
+        (1, 6, 0),
+        (576, 180, 396, 0, 177, 96, 84),
+    ),
+    ("tiny4", "c3_window"): (
+        17.239498822590342, ((0, 1, 3, 2), (0, 3, 2, 1), (3, 0, 1, 1)),
+        (1, 5, 197),
+        (16, 5, 11, 0, 4, 96, 1184),
+    ),
+    ("tiny4", "dop"): (
+        12.835204615094574, _TINY4_WIN, (7, 0, 0),
+        (576, 576, 0, 0, 0, 96, 480),
+    ),
+    ("t4s", "c3"): (
+        119.05520645991228, ((3, 1, 2, 0), (1, 0, 3, 2), (1, 1, 1, 1)),
+        (21, 7, 85),
+        (576, 95, 480, 1, 95, 24320, 0),
+    ),
+    ("t4s", "fixed"): (
+        156.08361733082756, ((3, 1, 2, 0), (1, 0, 3, 2), (0, 1, 0, 1)),
+        (21, 7, 0),
+        (576, 576, 0, 0, 0, 96, 480),
+    ),
+    ("t4s", "fixed_cuts"): (
+        156.08361733082756, ((3, 1, 2, 0), (1, 0, 3, 2), (0, 1, 0, 1)),
+        (21, 7, 0),
+        (576, 96, 480, 0, 95, 96, 0),
+    ),
+    ("t4s", "c3_window"): (_INF, None, None, (16, 0, 16, 0, 0, 0, 0)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_design(name):
+    return _GOLDEN_DESIGNS[name]()
+
+
+class TestEFAGolden:
+    """Exact EFA identities: winner, tie-break key and every counter.
+
+    Literals, not cross-run comparisons, so a refactor of the candidate
+    loop cannot move a winner, a tie-break or a pruning count without
+    failing here.  Every run is unbudgeted (``run_efa_dop``'s capped
+    probes finish far inside their cap on the tiny designs), so every
+    result is deterministic.
+    """
+
+    @pytest.mark.parametrize(
+        "design_name,variant", sorted(_GOLDEN), ids="-".join
+    )
+    def test_identity(self, design_name, variant):
+        result = _GOLDEN_VARIANTS[variant](_golden_design(design_name))
+        est_wl, candidate, key, counters = _GOLDEN[design_name, variant]
+        assert result.est_wl == est_wl  # exact
+        assert result.candidate == candidate
+        assert result.candidate_key == key
+        stats = asdict(result.stats)
+        stats.pop("runtime_s")
+        expected = dict(zip(_GOLDEN_COUNTERS, counters))
+        expected.update(
+            timed_out=False,
+            certified_lower_bound=None if est_wl == _INF else est_wl,
+            incremental_proposals=0,
+            incremental_dirty_signals=0,
+            incremental_signals_total=0,
+            incremental_full_rescores=0,
+            incremental_cross_checks=0,
+        )
+        assert stats == expected

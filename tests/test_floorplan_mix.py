@@ -28,8 +28,12 @@ def recorded(monkeypatch):
         calls["dop"] = {"design": design, "budget": time_budget_s}
         return _stub_result("stub_dop")
 
-    def fake_parallel(design, config):
-        calls["parallel"] = {"design": design, "config": config}
+    def fake_parallel(design, config, checkpoint=None):
+        calls["parallel"] = {
+            "design": design,
+            "config": config,
+            "checkpoint": checkpoint,
+        }
         return _stub_result("stub_par")
 
     import repro.floorplan.mix as mix
@@ -87,10 +91,37 @@ class TestMixDispatch:
         assert cfg.workers == 3
         assert cfg.efa.time_budget_s == 4.0
         assert cfg.efa.illegal_cut and cfg.efa.inferior_cut
+        assert recorded["parallel"]["checkpoint"] is None
+
+    @pytest.mark.parametrize(
+        "workers,name", [(1, "EFA_mix(c3)"), (2, "EFA_mix(c3[x2])")]
+    )
+    def test_checkpoint_forwarded_to_executor(self, recorded, workers, name):
+        # A checkpoint store routes even a one-worker c3 arm through the
+        # shard executor, which journals completed shards into it.
+        design = load_tiny(die_count=3, signal_count=6)
+        store = object()
+        result = run_efa_mix(
+            design, time_budget_s=4.0, workers=workers, checkpoint=store
+        )
+        assert result.algorithm == name
+        assert set(recorded) == {"parallel"}
+        assert recorded["parallel"]["checkpoint"] is store
+        cfg = recorded["parallel"]["config"]
+        assert cfg.workers == workers
+        assert cfg.efa.time_budget_s == 4.0
+        assert cfg.efa.illegal_cut and cfg.efa.inferior_cut
 
     def test_workers_ignored_above_threshold(self, recorded):
         # EFA_dop's enumeration is cheap; the large-n arm stays serial.
         design = load_tiny(die_count=6, signal_count=6)
         result = run_efa_mix(design, workers=4)
+        assert result.algorithm == "EFA_mix(dop)"
+        assert set(recorded) == {"dop"}
+
+    def test_checkpoint_ignored_above_threshold(self, recorded):
+        # Only the c3 arm is sharded, so only it journals shards.
+        design = load_tiny(die_count=6, signal_count=6)
+        result = run_efa_mix(design, checkpoint=object())
         assert result.algorithm == "EFA_mix(dop)"
         assert set(recorded) == {"dop"}

@@ -136,7 +136,6 @@ class TestFlowConfigSerialization:
             floorplan_budget_s=2.5,
             post_optimize=True,
             floorplan_workers=4,
-            floorplan_batch_eval="auto",
             seed=7,
         )
         data = json.loads(json.dumps(flow_config_to_dict(cfg)))
@@ -167,12 +166,44 @@ class TestFlowConfigSerialization:
 
     def test_cache_dict_drops_result_invariant_fields(self):
         serial = flow_config_cache_dict(FlowConfig(floorplan_workers=1))
-        pooled = flow_config_cache_dict(
-            FlowConfig(floorplan_workers=8, floorplan_batch_eval=False)
-        )
+        pooled = flow_config_cache_dict(FlowConfig(floorplan_workers=8))
         assert serial == pooled
         assert "floorplan_workers" not in serial
         assert "floorplan_batch_eval" not in serial
+
+    def test_retired_batch_eval_key_accepted(self):
+        # A dict written before ``floorplan_batch_eval`` was retired (a
+        # persisted job spec, say) still loads, and keys the cache and
+        # the checkpoint exactly as it did then.
+        assigner = {
+            "window_matching": True,
+            "window_slack": 0,
+            "die_order": "decreasing",
+            "order_seed": 0,
+            "time_budget_s": None,
+            "max_window_retries": 4,
+            "max_edges_per_sub_sap": None,
+        }
+        written = {
+            "schema": 1,
+            "floorplan_budget_s": 2.5,
+            "post_optimize": False,
+            "floorplan_workers": 4,
+            "floorplan_batch_eval": "auto",
+            "portfolio": False,
+            "seed": 7,
+            "assigner": assigner,
+        }
+        cfg = flow_config_from_dict(written)
+        assert cfg.floorplan_workers == 4 and cfg.seed == 7
+        assert flow_config_cache_dict(cfg) == {
+            "schema": 1,
+            "floorplan_budget_s": 2.5,
+            "post_optimize": False,
+            "portfolio": False,
+            "seed": 7,
+            "assigner": assigner,
+        }
 
     def test_cache_dict_keeps_result_affecting_fields(self):
         assert flow_config_cache_dict(FlowConfig(seed=0)) != (

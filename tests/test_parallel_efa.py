@@ -29,7 +29,7 @@ from repro.parallel import (
     run_portfolio,
 )
 
-from .helpers import build_design
+from .helpers import assert_same_search, build_design, run_efa_scalar
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +223,16 @@ class TestParallelDeterminism:
         )
         assert par.stats.timed_out
         assert not par.found
+
+    def test_serial_walk_keeps_callers_budget(self, design3):
+        # The serial walk re-sets the remaining budget per shard; doing
+        # that on the caller's config would hand a reused config an
+        # ever-shrinking budget.
+        cfg = EFAConfig(
+            illegal_cut=True, inferior_cut=True, time_budget_s=30.0
+        )
+        run_parallel_efa(design3, ParallelEFAConfig(workers=1, efa=cfg))
+        assert cfg.time_budget_s == 30.0
 
 
 class TestShardTelemetryAndCertification:
@@ -435,7 +445,7 @@ class TestParallelCLI:
 
 
 class TestWindowedParallel:
-    """Enumeration windows compose with sharding and batch/serial eval."""
+    """Enumeration windows compose with sharding and both EFA kernels."""
 
     def test_windowed_pool_matches_windowed_serial(self, design3):
         cfg = EFAConfig(
@@ -453,15 +463,13 @@ class TestWindowedParallel:
         assert pooled.candidate_key == serial.candidate_key
         assert pooled.stats.sequence_pairs_total == 4 * 4
 
-    def test_windowed_batch_matches_windowed_scalar(self, design3):
-        kwargs = dict(plus_range=(0, 3), minus_range=(2, 6))
-        a = run_efa(design3, EFAConfig(batch_eval=True, **kwargs))
-        b = run_efa(design3, EFAConfig(batch_eval=False, **kwargs))
-        assert a.est_wl == b.est_wl
-        assert a.candidate_key == b.candidate_key
-        assert (
-            a.stats.floorplans_evaluated == b.stats.floorplans_evaluated
-        )
+    def test_windowed_batch_matches_windowed_scalar(
+        self, design3, monkeypatch
+    ):
+        cfg = EFAConfig(plus_range=(0, 3), minus_range=(2, 6))
+        sweep = run_efa(design3, cfg)
+        scalar = run_efa_scalar(monkeypatch, design3, cfg)
+        assert_same_search(sweep, scalar)
 
     def test_empty_window_returns_not_found(self, design3):
         result = run_parallel_efa(
