@@ -3,8 +3,8 @@
 Unlike the table benches (single-shot experiment reproductions), these are
 classic repeated-measurement micro-benchmarks of the inner loops every
 experiment leans on: sequence-pair packing, the vectorized HPWL
-evaluator, the MST builder, the MCMF solver and window matching.  Useful
-for catching performance regressions when touching the substrates.
+evaluator, the MST builder, the sub-SAP flow kernel and window matching.
+Useful for catching performance regressions when touching the substrates.
 """
 
 import random
@@ -16,8 +16,8 @@ from repro.floorplan import FastHpwlEvaluator, run_efa  # noqa: F401
 from repro.floorplan.efa import EnumerativeFloorplanner, EFAConfig
 from repro.geometry import Point
 from repro.mst import mst_length
-from repro.netflow import FlowNetwork, min_cost_max_flow
 from repro.assign import window_candidates
+from repro.assign.ssp import min_cost_max_flow
 
 import numpy as np
 
@@ -57,26 +57,20 @@ def test_micro_mst(benchmark):
 
 @pytest.mark.benchmark(group="micro")
 def test_micro_mcmf_bipartite(benchmark):
-    rng = random.Random(1)
     n_left, n_right = 40, 120
+    local = random.Random(2)
+    cols, costs = [], []
+    for _ in range(n_left):
+        for v in local.sample(range(n_right), 12):
+            cols.append(v)
+            costs.append(local.uniform(0, 10))
+    cols, costs = np.asarray(cols), np.asarray(costs)
+    offsets = np.arange(0, 12 * n_left + 1, 12)
 
-    def build_and_solve():
-        net = FlowNetwork()
-        s = net.add_node()
-        t = net.add_node()
-        left = [net.add_node() for _ in range(n_left)]
-        right = [net.add_node() for _ in range(n_right)]
-        for u in left:
-            net.add_edge(s, u, 1, 0.0)
-        for v in right:
-            net.add_edge(v, t, 1, 0.0)
-        local = random.Random(2)
-        for u in left:
-            for v in local.sample(right, 12):
-                net.add_edge(u, v, 1, local.uniform(0, 10))
-        return min_cost_max_flow(net, s, t).flow
+    def solve():
+        return min_cost_max_flow(cols, costs, offsets).flow
 
-    flow = benchmark(build_and_solve)
+    flow = benchmark(solve)
     assert flow == n_left
 
 

@@ -18,9 +18,9 @@ This implementation mirrors those restrictions faithfully:
   column, where our window method is grafted onto [5] to make the big
   cases tractable.
 
-The minimum-cost bipartite matching itself is solved with the same MCMF
-substrate (a unit-capacity bipartite min-cost flow *is* an assignment
-problem), just as [5]'s matcher would.
+The minimum-cost bipartite matching itself is solved by the same sub-SAP
+kernel as MCMF (:mod:`repro.assign.ssp`; a unit-capacity bipartite
+min-cost flow *is* an assignment problem), just as [5]'s matcher would.
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..model import Assignment, Design, Floorplan
-from ..netflow import FlowNetwork, min_cost_max_flow
 from .base import (
     AssignmentError,
     AssignmentRunResult,
     SubSapStats,
     die_processing_order,
 )
+from .ssp import min_cost_max_flow
 from .window import window_candidates
 
 
@@ -151,6 +151,10 @@ class BipartiteAssigner:
         source_pos = [floorplan.buffer_position(b.id) for b in buffers]
         sx = np.asarray([p.x for p in site_pos])
         sy = np.asarray([p.y for p in site_pos])
+        bx = np.asarray([p.x for p in source_pos])
+        by = np.asarray([p.y for p in source_pos])
+        ax = np.asarray([anchors[b.id].x for b in buffers])
+        ay = np.asarray([anchors[b.id].y for b in buffers])
         alpha = design.weights.alpha
         beta = design.weights.beta
 
@@ -158,6 +162,8 @@ class BipartiteAssigner:
             return deadline is not None and time.monotonic() > deadline
 
         retries = 0
+        augmentations = 0
+        nodes_settled = 0
         while True:
             if expired():
                 raise AssignmentError(
@@ -185,47 +191,25 @@ class BipartiteAssigner:
                     "(the paper's [5] ran out of memory the same way)"
                 )
 
-            network = FlowNetwork()
-            source = network.add_node("s")
-            sink = network.add_node("t")
-            used_sites = sorted({int(j) for c in candidates for j in c})
-            site_node = {}
-            for j in used_sites:
-                node = network.add_node()
-                site_node[j] = node
-                network.add_edge(node, sink, 1, 0.0)
-            arc_of = []
-            for i, buf in enumerate(buffers):
-                node = network.add_node()
-                network.add_edge(source, node, 1, 0.0)
-                anchor = anchors[buf.id]
-                cand = candidates[i]
-                costs = alpha * (
-                    np.abs(sx[cand] - source_pos[i].x)
-                    + np.abs(sy[cand] - source_pos[i].y)
-                ) + beta * (
-                    np.abs(sx[cand] - anchor.x) + np.abs(sy[cand] - anchor.y)
-                )
-                arcs = []
-                for j, c in zip(cand, costs):
-                    arc = network.add_edge(
-                        node, site_node[int(j)], 1, float(c)
-                    )
-                    arcs.append((arc, int(j)))
-                arc_of.append(arcs)
+            cols = np.concatenate(candidates)
+            offsets = np.zeros(len(buffers) + 1, dtype=np.int64)
+            np.cumsum([len(c) for c in candidates], out=offsets[1:])
+            row = np.repeat(np.arange(len(buffers)), np.diff(offsets))
+            costs = alpha * (
+                np.abs(sx[cols] - bx[row]) + np.abs(sy[cols] - by[row])
+            ) + beta * (
+                np.abs(sx[cols] - ax[row]) + np.abs(sy[cols] - ay[row])
+            )
 
             result = min_cost_max_flow(
-                network, source, sink, flow_limit=len(buffers),
+                cols, costs, offsets, flow_limit=len(buffers),
                 should_abort=expired,
             )
+            augmentations += result.augmentations
+            nodes_settled += result.settled
             if result.flow == len(buffers):
-                for i, arcs in enumerate(arc_of):
-                    for arc, j in arcs:
-                        if network.flow_on(arc) > 0.5:
-                            assignment.buffer_to_bump[buffers[i].id] = (
-                                site_ids[j]
-                            )
-                            break
+                for i, j in enumerate(result.match):
+                    assignment.buffer_to_bump[buffers[i].id] = site_ids[j]
                 return SubSapStats(
                     scope=die_id,
                     demand=len(buffers),
@@ -234,6 +218,8 @@ class BipartiteAssigner:
                     flow_cost=result.cost,
                     runtime_s=time.monotonic() - sub_start,
                     window_retries=retries,
+                    augmentations=augmentations,
+                    nodes_settled=nodes_settled,
                 )
             if expired():
                 raise AssignmentError(

@@ -30,7 +30,6 @@ import numpy as np
 from ..geometry import Point
 from ..model import Assignment, Design, Floorplan, Terminal, TerminalKind
 from ..mst import SignalTopology, build_topologies
-from ..netflow import FlowNetwork, min_cost_max_flow
 from ..obs import Progress, get_logger, metrics, span
 from .base import (
     AssignmentError,
@@ -39,6 +38,7 @@ from .base import (
     die_processing_order,
 )
 from .cost import assignment_cost, far_terminal_weight
+from .ssp import min_cost_max_flow
 from .window import window_candidates
 
 logger = get_logger("assign.mcmf")
@@ -524,56 +524,38 @@ class MCMFAssigner:
         topologies: Dict[str, SignalTopology],
         clock: _BudgetClock,
     ):
-        """Build and solve the flow network for one sub-SAP attempt."""
+        """Cost and solve the flow network for one sub-SAP attempt."""
         weights = design.weights
-        network = FlowNetwork()
-        source = network.add_node("s")
-        sink = network.add_node("t")
-
-        # Only materialize nodes for sites some buffer can actually reach.
-        used_sites = sorted({int(j) for c in candidates for j in c})
-        site_node: Dict[int, int] = {}
-        for j in used_sites:
-            node = network.add_node()
-            site_node[j] = node
-            network.add_edge(node, sink, 1, 0.0)
-
         sx = np.asarray([p.x for p in site_pos])
         sy = np.asarray([p.y for p in site_pos])
 
-        arc_of: List[List[Tuple[int, int]]] = []  # per source: (arc, site)
+        costs: List[np.ndarray] = []
         for i, key in enumerate(source_keys):
-            node = network.add_node()
-            network.add_edge(source, node, 1, 0.0)
-            topo = topologies[source_signals[i]]
-            far = topo.neighbors(key)
             cand = candidates[i]
             # Vectorized Eq. 3 over this source's candidate sites.
-            costs = leg_weight * (
+            cost = leg_weight * (
                 np.abs(sx[cand] - source_pos[i].x)
                 + np.abs(sy[cand] - source_pos[i].y)
             )
-            for t in far:
+            for t in topologies[source_signals[i]].neighbors(key):
                 w = far_terminal_weight(t.kind, weights)
-                costs = costs + w * (
+                cost = cost + w * (
                     np.abs(sx[cand] - t.position.x)
                     + np.abs(sy[cand] - t.position.y)
                 )
-            arcs = []
-            for j, c in zip(cand, costs):
-                arc = network.add_edge(node, site_node[int(j)], 1, float(c))
-                arcs.append((arc, int(j)))
-            arc_of.append(arcs)
+            costs.append(cost)
+        offsets = np.zeros(len(candidates) + 1, dtype=np.int64)
+        np.cumsum([len(c) for c in candidates], out=offsets[1:])
 
         with span("assign.mcmf"):
             result = min_cost_max_flow(
-                network, source, sink, flow_limit=len(source_keys),
+                np.concatenate(candidates),
+                np.concatenate(costs),
+                offsets,
+                flow_limit=len(source_keys),
                 should_abort=clock.expired,
             )
-        mapping: Dict[int, int] = {}
-        for i, arcs in enumerate(arc_of):
-            for arc, j in arcs:
-                if network.flow_on(arc) > 0.5:
-                    mapping[i] = j
-                    break
+        mapping = {
+            i: int(j) for i, j in enumerate(result.match) if j >= 0
+        }
         return mapping, result

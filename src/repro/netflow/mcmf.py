@@ -21,8 +21,8 @@ from typing import Callable, List, Optional
 from .graph import FlowNetwork
 
 # Reduced costs should be >= 0 exactly; accumulated float error can push
-# them epsilon-negative, which Dijkstra tolerates as long as the error does
-# not compound.  Clamping at -COST_EPS keeps the search admissible.
+# them epsilon-negative.  Every negative reduced cost is clamped to 0, which
+# keeps the search admissible; COST_EPS is the margin a relaxation must beat.
 COST_EPS = 1e-9
 
 _INF = float("inf")
