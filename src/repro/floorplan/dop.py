@@ -15,7 +15,9 @@ documented in DESIGN.md):
   arrangement; the probe catches that at negligible cost.
 * **legal fallback** — if the winning vector admits no legal floorplan at
   all within budget, the greedy reference floorplan itself (when legal) is
-  returned, so callers always get a floorplan if one was ever seen.
+  returned, so callers always get a floorplan if one was ever seen;
+  failing that, the all-R0 vector gets one more enumeration unless it was
+  the vector just enumerated.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from ..model import Design
 from ..obs import get_logger, span
 from .base import FloorplanResult
 from .efa import EFAConfig, EnumerativeFloorplanner
+from .estimator import FastHpwlEvaluator
 from .greedy_packing import predetermine_orientations
 
 logger = get_logger("floorplan.dop")
@@ -102,17 +105,18 @@ def run_efa_dop(
     with span("floorplan.dop.enumerate"):
         result = EnumerativeFloorplanner(design, config).run()
     if not result.found and packing.floorplan.is_legal():
-        from ..eval import hpwl_estimate
-
         logger.warning(
             "EFA_dop: enumeration found no legal floorplan; falling back "
             "to the greedy reference floorplan"
         )
         result.floorplan = packing.floorplan
-        result.est_wl = hpwl_estimate(design, packing.floorplan)
-    if not result.found:
+        result.est_wl = FastHpwlEvaluator(design).hpwl_of_floorplan(
+            packing.floorplan
+        )
+    if not result.found and chosen != all_r0:
         # Last resort: the as-designed orientations (feasible by
-        # construction for chip-sliced designs).
+        # construction for chip-sliced designs).  When the enumeration
+        # just run already fixed them, a rerun would repeat it.
         retry = EnumerativeFloorplanner(
             design,
             EFAConfig(

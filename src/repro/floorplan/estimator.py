@@ -369,7 +369,7 @@ class FastHpwlEvaluator:
         length-``B`` vector of totals.  Row ``b`` is bit-identical to
         ``hpwl(die_x[b], die_y[b], orient_codes[b])`` — the batch applies
         the same float64 gathers, reductions and (pairwise) sums, just
-        laid out over a flattened batch with per-row ``reduceat`` offsets.
+        laid out over a flattened batch (see :meth:`signal_extents`).
 
         Memory: the pass materializes a few ``(B, W)`` float64
         intermediates (``W`` = slot or terminal row width), so callers
@@ -378,12 +378,35 @@ class FastHpwlEvaluator:
         :func:`batch_chunk_bytes` budget.
         """
         die_x = np.asarray(die_x, dtype=np.float64)
-        die_y = np.asarray(die_y, dtype=np.float64)
         batch = die_x.shape[0]
         if batch == 0 or self._terminal_count == 0:
             return np.zeros(batch)
+        min_x, max_x, min_y, max_y = self.signal_extents(
+            die_x, die_y, orient_codes
+        )
+        return np.sum(max_x - min_x, axis=1) + np.sum(max_y - min_y, axis=1)
+
+    def signal_extents(
+        self,
+        die_x: np.ndarray,
+        die_y: np.ndarray,
+        orient_codes: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per-signal terminal extents of ``B`` candidate floorplans.
+
+        Takes the same ``(B, n)`` inputs as :meth:`hpwl_batch` and returns
+        ``(min_x, max_x, min_y, max_y)``, each ``(B, S)``: the exact
+        min/max over each signal's die terminals (``die origin + local
+        offset``) and its escape point.  An escape-only signal spans its
+        escape point alone.  ``hpwl_batch`` sums these; the greedy
+        packer's cost reads them per signal.  The design must have at
+        least one die terminal.
+        """
+        die_x = np.asarray(die_x, dtype=np.float64)
+        die_y = np.asarray(die_y, dtype=np.float64)
+        batch = die_x.shape[0]
         if self._use_slots:
-            return self._hpwl_batch_slots(die_x, die_y, orient_codes)
+            return self._signal_extents_slots(die_x, die_y, orient_codes)
         codes = np.asarray(orient_codes, dtype=np.int64)[:, self._t_die]
         tx = die_x[:, self._t_die] + self._local_x[
             codes, self._terminal_range
@@ -409,7 +432,7 @@ class FastHpwlEvaluator:
         max_y = np.maximum(
             self._batch_reduce(ty, np.maximum, -np.inf), self._fixed_max_y
         )
-        return np.sum(max_x - min_x, axis=1) + np.sum(max_y - min_y, axis=1)
+        return min_x, max_x, min_y, max_y
 
     def _reduce_slots(
         self, values: np.ndarray, red_min: np.ndarray, red_max: np.ndarray
@@ -425,17 +448,17 @@ class FastHpwlEvaluator:
             np.minimum(red_min, col, out=red_min)
             np.maximum(red_max, col, out=red_max)
 
-    def _hpwl_batch_slots(
+    def _signal_extents_slots(
         self,
         die_x: np.ndarray,
         die_y: np.ndarray,
         orient_codes: np.ndarray,
-    ) -> np.ndarray:
-        """Slotted batch kernel: one integer gather builds flat local-table
-        indices, ``np.take`` fills preallocated scratch, and x/y reuse the
-        same buffers.  Bit-identical to the ``reduceat`` path because the
-        padded slots only repeat values under exact min/max and the final
-        per-row sums run over the same ``(S,)`` spans."""
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Slotted extents kernel: one integer gather builds flat
+        local-table indices, ``np.take`` fills preallocated scratch, and
+        x/y reuse the same buffers.  Bit-identical to the ``reduceat``
+        path because the padded slots only repeat values under exact
+        min/max."""
         batch = die_x.shape[0]
         codes = np.asarray(orient_codes, dtype=np.int64)
         i1, f1, f2, red = self._slot_buffers(batch)
@@ -470,7 +493,7 @@ class FastHpwlEvaluator:
             max_x = np.maximum(rmaxx, self._fixed_max_x)
             min_y = np.minimum(rminy, self._fixed_min_y)
             max_y = np.maximum(rmaxy, self._fixed_max_y)
-        return np.sum(max_x - min_x, axis=1) + np.sum(max_y - min_y, axis=1)
+        return min_x, max_x, min_y, max_y
 
     def hpwl_of_floorplan(self, floorplan: Floorplan) -> float:
         """Convenience wrapper evaluating a :class:`Floorplan` object."""

@@ -3,12 +3,21 @@
 import pytest
 
 from repro.benchgen import load_case, load_tiny
+from repro.eval import hpwl_estimate
 from repro.floorplan import (
     EFAConfig,
+    FastHpwlEvaluator,
     run_efa,
     run_efa_dop,
 )
+from repro.floorplan import dop
 from repro.floorplan.dop import _probe_budget
+from repro.floorplan.greedy_packing import (
+    GreedyPackingResult,
+    predetermine_orientations,
+)
+from repro.geometry import Orientation, Point
+from repro.model import Floorplan, Placement
 
 
 class TestProbeBudget:
@@ -60,3 +69,73 @@ class TestDopBehavior:
             stats.floorplans_evaluated + stats.floorplans_rejected_outline
             <= stats.sequence_pairs_total
         )
+
+
+class TestDopFallbacks:
+    def test_zero_budget_returns_reference_floorplan(self):
+        """No enumeration budget: the legal greedy F_ref is returned, its
+        est_wl from the solvers' HPWL evaluator."""
+        design = load_case("t4s")
+        packing = predetermine_orientations(design)
+        assert packing.floorplan.is_legal()
+        result = run_efa_dop(design, time_budget_s=0.0)
+        assert result.found
+        for die in design.dies:
+            assert result.floorplan.placement(
+                die.id
+            ) == packing.floorplan.placement(die.id)
+        assert result.est_wl == FastHpwlEvaluator(design).hpwl_of_floorplan(
+            packing.floorplan
+        )
+        assert result.est_wl == pytest.approx(
+            hpwl_estimate(design, packing.floorplan)
+        )
+
+    @staticmethod
+    def _illegal_reference(monkeypatch, design, orientations):
+        """Patch in a stacked (illegal) F_ref with ``orientations`` and
+        probes that find nothing; return the fixed vector of every EFA
+        run EFA_dop starts."""
+        stacked = Floorplan(
+            design,
+            {
+                d.id: Placement(Point(0.0, 0.0), orientations[d.id])
+                for d in design.dies
+            },
+        )
+        assert not stacked.is_legal()
+        monkeypatch.setattr(
+            dop,
+            "predetermine_orientations",
+            lambda _: GreedyPackingResult(stacked, dict(orientations), 0.0),
+        )
+        monkeypatch.setattr(dop, "_probe_budget", lambda _: 0.0)
+        runs = []
+
+        class Recording(dop.EnumerativeFloorplanner):
+            def __init__(self, design, config):
+                runs.append(config.fixed_orientations)
+                super().__init__(design, config)
+
+        monkeypatch.setattr(dop, "EnumerativeFloorplanner", Recording)
+        return runs
+
+    def test_all_r0_retry_skipped_when_already_enumerated(self, monkeypatch):
+        design = load_tiny(die_count=3, signal_count=8)
+        all_r0 = {d.id: Orientation.R0 for d in design.dies}
+        runs = self._illegal_reference(monkeypatch, design, all_r0)
+        result = run_efa_dop(design, time_budget_s=0.0)
+        assert not result.found
+        # The free probe, then the main enumeration on all-R0; no rerun.
+        assert runs == [None, all_r0]
+
+    def test_all_r0_retry_after_other_vector(self, monkeypatch):
+        design = load_tiny(die_count=3, signal_count=8)
+        all_r0 = {d.id: Orientation.R0 for d in design.dies}
+        turned = dict(all_r0, **{design.dies[0].id: Orientation.R90})
+        runs = self._illegal_reference(monkeypatch, design, turned)
+        result = run_efa_dop(design, time_budget_s=0.0)
+        assert not result.found
+        # Free probe, one probe per vector, main run on the greedy vector,
+        # then the all-R0 last resort.
+        assert runs == [None, turned, all_r0, turned, all_r0]

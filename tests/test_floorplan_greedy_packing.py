@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.benchgen import load_tiny
+from repro.benchgen import load_case, load_tiny
 from repro.floorplan.greedy_packing import (
     GreedyPacker,
     GreedyPackingResult,
@@ -10,6 +10,7 @@ from repro.floorplan.greedy_packing import (
     predetermine_orientations,
 )
 from repro.geometry import ALL_ORIENTATIONS, Orientation, Point, Rect
+from repro.obs import metrics
 
 
 @pytest.fixture(scope="module")
@@ -121,13 +122,11 @@ class TestRun:
         a = predetermine_orientations(design)
         b = predetermine_orientations(design)
         assert a.orientations == b.orientations
-        assert a.cost == pytest.approx(b.cost)
+        assert a.cost == b.cost
 
     def test_suite_cases_produce_legal_reference(self):
         # Regression: centre-only attachment used to make F_ref illegal on
         # tightly utilized interposers (t6s), poisoning EFA_dop.
-        from repro.benchgen import load_case
-
         for case in ("t4s", "t6s"):
             design = load_case(case)
             result = predetermine_orientations(design)
@@ -147,3 +146,39 @@ class TestCostRule:
 
     def test_sides_constant(self):
         assert SIDES == ("left", "right", "bottom", "top")
+
+
+# Per suite case: the F_ref orientation vector (design die order),
+# ``repr`` of its cost, and the number of candidate arrangements scored
+# (``floorplan.greedy.candidates_evaluated``).  Any change to the packer
+# or its cost arithmetic that moves one of these moves EFA_dop's input.
+_GREEDY_GOLDEN = {
+    "t4s": ("R180 R180 R180 R180", "134.18914532224966", 710),
+    "t4m": ("R0 R180 R90 R90", "230.040191832614", 710),
+    "t4b": ("R0 R270 R180 R270", "377.7580916723625", 710),
+    "t6s": ("R0 R0 R0 R180 R270 R270", "200.9702903632878", 2217),
+    "t6m": ("R180 R180 R180 R180 R180 R180", "325.088154415246", 2180),
+    "t6b": ("R180 R180 R180 R180 R180 R180", "592.2597499239432", 2180),
+    "t8s": (
+        "R0 R0 R270 R0 R0 R0 R90 R270", "2510165168.8953195", 4674,
+    ),
+    "t8m": (
+        "R270 R90 R270 R270 R180 R270 R180 R270", "2446492027.1471305", 4699,
+    ),
+    "t8b": ("R0 R0 R0 R0 R0 R0 R0 R0", "629.4586828342622", 4674),
+}
+
+
+class TestGreedyGolden:
+    @pytest.mark.parametrize("case", sorted(_GREEDY_GOLDEN))
+    def test_suite_case(self, case):
+        vector, cost, count = _GREEDY_GOLDEN[case]
+        design = load_case(case)
+        counter = metrics.counter("floorplan.greedy.candidates_evaluated")
+        before = counter.value
+        result = predetermine_orientations(design)
+        assert counter.value - before == count
+        assert " ".join(
+            result.orientations[d.id].name for d in design.dies
+        ) == vector
+        assert repr(result.cost) == cost

@@ -257,11 +257,35 @@ class TestFullEvalGateSelfTest:
     evaluator, complementing the synthetic INJECT_SLOWDOWN hook tests.
     """
 
+    @staticmethod
+    def _min_of(records):
+        """Merge single-repeat records of one spec into one
+        min-of-repeats record, as ``run_spec`` builds it."""
+        identity = records[0]["identity"]
+        per_repeat = {}
+        for record in records:
+            assert record["identity"] == identity
+            for stage, seconds in record["stage_seconds"].items():
+                per_repeat.setdefault(stage, []).extend(seconds)
+        return harness._record(
+            records[0]["name"],
+            len(records),
+            per_repeat,
+            identity,
+            records[0]["quality"],
+        )
+
     def test_forced_full_eval_fails_compare(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SA_FULL_EVAL", raising=False)
-        fast = harness.run_spec("sa_t4m", repeats=2)
-        monkeypatch.setenv("REPRO_SA_FULL_EVAL", "1")
-        slow = harness.run_spec("sa_t4m", repeats=2)
+        # Interleave the repeats (fast, slow, fast, slow) so a swing in
+        # host speed lands on both sides rather than on one block.
+        runs = {"fast": [], "slow": []}
+        for _ in range(2):
+            monkeypatch.delenv("REPRO_SA_FULL_EVAL", raising=False)
+            runs["fast"].append(harness.run_spec("sa_t4m", repeats=1))
+            monkeypatch.setenv("REPRO_SA_FULL_EVAL", "1")
+            runs["slow"].append(harness.run_spec("sa_t4m", repeats=1))
+        fast = self._min_of(runs["fast"])
+        slow = self._min_of(runs["slow"])
         # Bit-identical trajectory: the escape hatch may only move time.
         assert slow["identity"] == fast["identity"]
         ok, lines = harness.compare_records(slow, fast)
