@@ -13,11 +13,15 @@ Why a process per job rather than a thread: ``run_flow`` resets the
 process-global observability scope at entry, so two concurrent in-process
 runs would stomp each other's traces and reports — and a process gives
 cancel/timeout an honest ``terminate()`` instead of cooperative polling.
-Each child registers an :mod:`repro.obs` event listener that forwards
-heartbeat/incumbent events over an ``mp.Queue``, which the owning runner
-thread pumps into the job's in-memory event log (the server's NDJSON
-stream reads it), and runs a parent-pid watchdog so a SIGKILLed server
-never leaks orphaned solver processes.
+The runner thread parses the job's ``spec.json`` once per attempt and
+hands the design and config to the child as ``Process`` args.  The child
+registers an :mod:`repro.obs` event listener that forwards
+heartbeat/incumbent events over a one-way pipe; the runner blocks until
+the next event or the child's exit, appends each event to the job's
+in-memory event log (the server's NDJSON stream reads it), and verifies
+the result against the same parsed design.  The child also runs a
+parent-pid watchdog so a SIGKILLed server never leaks orphaned solver
+processes.
 
 Results are content-addressed: :func:`cache_key` hashes the design
 content plus the result-affecting flow config (see
@@ -43,6 +47,7 @@ import time
 import traceback
 import uuid
 from dataclasses import dataclass, field
+from multiprocessing import connection as mp_connection
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -104,6 +109,10 @@ TEST_EXIT_ENV = "REPRO_SERVICE_TEST_EXIT_AFTER_SHARDS"
 
 _JOIN_GRACE_S = 10.0
 
+# Longest a runner blocks before it re-checks cancel, shutdown and the
+# deadline.  A child's events and its exit wake the runner at once.
+_WAIT_TICK_S = 0.1
+
 __all__ = [
     "CANCELLED",
     "DEFAULT_CRASH_RETRIES",
@@ -137,6 +146,15 @@ def cache_key(design: Design, cfg: FlowConfig) -> str:
             "solver": SOLVER_CACHE_TAG,
         }
     )
+
+
+def _verify_errors(design: Design, payload: Dict[str, Any]) -> List[Any]:
+    """ERROR diagnostics from independently re-deriving ``payload``."""
+    return [
+        d
+        for d in verify_result_payload(design, payload)
+        if d.severity == ERROR
+    ]
 
 
 def _write_json_atomic(path: Path, data: Dict[str, Any]) -> None:
@@ -220,33 +238,43 @@ def _result_payload(design: Design, result) -> Dict[str, Any]:
     }
 
 
-def _job_worker_main(job_dir: str, parent_pid: int, event_queue) -> None:
+def _job_worker_main(
+    job_dir: str,
+    parent_pid: int,
+    design: Design,
+    cfg: FlowConfig,
+    profile_fmt: Optional[str],
+    conn,
+) -> None:
     """Job-process entry point (module-level, spawn-safe).
 
-    Reads ``spec.json``, runs the flow (checkpointed when the design
-    takes the enumerative EFA_c3 arm), and leaves exactly one verdict
-    file behind: ``result.json`` on success, ``error.json`` on a flow
-    exception.  A crash leaves neither — that absence is what tells the
-    parent to requeue-and-resume.
+    Runs the flow on the design and config the runner parsed from
+    ``spec.json`` (checkpointed when the design takes the enumerative
+    EFA_c3 arm), and leaves exactly one verdict file behind:
+    ``result.json`` on success, ``error.json`` on a flow exception.  A
+    crash leaves neither — that absence is what tells the parent to
+    requeue-and-resume.
 
-    A ``profile`` field in the spec (or ``REPRO_PROFILE`` in the
-    inherited environment) runs the flow under the sampling profiler
-    and drops ``profile.json``/``profile.txt`` beside the result, with
-    the hotspot summary folded into the report.  On exit — success or
-    failure — the child ships its typed metrics export back over the
-    event queue for the parent's :class:`ServiceMetrics` to merge.
+    A ``profile_fmt`` (from the spec's ``profile`` field or
+    ``REPRO_PROFILE``) runs the flow under the sampling profiler and
+    drops ``profile.json``/``profile.txt`` beside the result, with the
+    hotspot summary folded into the report.  Events go to the runner
+    over ``conn``, the write end of a one-way pipe.  On exit — success
+    or failure — the child sends its typed metrics export the same way,
+    for the parent's :class:`ServiceMetrics` to merge.
     """
     _start_parent_watchdog(parent_pid)
     job_path = Path(job_dir)
+    send_lock = threading.Lock()
 
     def forward(event: Dict[str, Any]) -> None:
-        event_queue.put(event)
+        # A Connection is not thread-safe; listeners run on the emitting
+        # thread.
+        with send_lock:
+            conn.send(event)
 
     obs.add_event_listener(forward)
     try:
-        spec = json.loads((job_path / "spec.json").read_text())
-        design = design_from_dict(spec["design"])
-        cfg = flow_config_from_dict(spec["config"])
         floorplanner = None
         checkpoint: Optional[CheckpointStore] = None
         if not cfg.portfolio:
@@ -259,8 +287,6 @@ def _job_worker_main(job_dir: str, parent_pid: int, event_queue) -> None:
                 workers=max(1, cfg.floorplan_workers),
                 checkpoint=checkpoint,
             )
-        raw_profile = spec.get("profile")
-        profile_fmt = obs.profile_format(raw_profile if raw_profile else None)
         profiler = (
             obs.SamplingProfiler().start() if profile_fmt else None
         )
@@ -302,9 +328,7 @@ def _job_worker_main(job_dir: str, parent_pid: int, event_queue) -> None:
         )
     finally:
         try:
-            event_queue.put(
-                {"type": "metrics", "export": obs.export_metrics()}
-            )
+            forward({"type": "metrics", "export": obs.export_metrics()})
         except Exception:  # noqa: BLE001 - advisory telemetry
             pass
 
@@ -390,6 +414,10 @@ class JobManager:
         self._events = threading.Condition()
         self._queue: "queue_mod.Queue[Optional[str]]" = queue_mod.Queue()
         self._stop = threading.Event()
+        # Held from a job pipe's creation until the parent has closed its
+        # write end, so no other runner's fork inherits that end: EOF on
+        # the pipe then means the job child is gone.
+        self._spawn_lock = threading.Lock()
         self._recover()
         self.resources.start()
         self._threads = [
@@ -489,11 +517,7 @@ class JobManager:
             # submitted design before it is served.  Failure means the
             # entry is poisoned (tampering, a stale solver bug) — evict
             # it and fall through to a normal queued recompute.
-            bad = [
-                d
-                for d in verify_result_payload(design_obj, cached_payload)
-                if d.severity == ERROR
-            ]
+            bad = _verify_errors(design_obj, cached_payload)
             if bad:
                 logger.warning(
                     "cache entry %s failed verification (%s); evicting "
@@ -673,6 +697,8 @@ class JobManager:
     def shutdown(self) -> None:
         """Stop the runner threads and terminate any running children."""
         self._stop.set()
+        for _ in self._threads:
+            self._queue.put(None)  # wakes an idle runner
         self.resources.stop()
         with self._events:
             procs = [j.proc for j in self._jobs.values() if j.proc is not None]
@@ -895,8 +921,8 @@ class JobManager:
             self._append_event_locked(job, event)
 
     def _consume_event(self, job: Job, event: Dict[str, Any]) -> None:
-        """Route one child-queue event: metrics exports merge, the rest
-        append to the job's event log."""
+        """Route one child event: metrics exports merge, the rest append
+        to the job's event log."""
         if isinstance(event, dict) and event.get("type") == "metrics":
             try:
                 self.metrics.merge_child(event.get("export") or {})
@@ -906,6 +932,19 @@ class JobManager:
                 )
             return
         self._append_event(job, event)
+
+    def _pump_event(self, job: Job, reader) -> bool:
+        """Read one child event into the job; False at the pipe's end.
+
+        The end is EOF, a frame torn by the child's death (``OSError``),
+        or, on a non-blocking reader, no more data.
+        """
+        try:
+            event = reader.recv()
+        except (EOFError, OSError):
+            return False
+        self._consume_event(job, event)
+        return True
 
     # -- resource sampling ---------------------------------------------------
 
@@ -951,10 +990,7 @@ class JobManager:
 
     def _runner_loop(self) -> None:
         while not self._stop.is_set():
-            try:
-                job_id = self._queue.get(timeout=0.2)
-            except queue_mod.Empty:
-                continue
+            job_id = self._queue.get()
             if job_id is None:
                 continue
             with self._events:
@@ -971,77 +1007,87 @@ class JobManager:
                     job.error = "internal runner error"
                     self._transition(job, FAILED)
 
-    def _verify_payload(self, job: Job, payload: Dict[str, Any]) -> List[Any]:
-        """Error diagnostics from independently verifying a job's result.
-
-        Fails closed: when the spec the result must be checked against
-        cannot be reloaded, that inability *is* the diagnostic.
-        """
-        from ..validate.lint import Diagnostic
-
-        try:
-            spec = json.loads((job.dir / "spec.json").read_text())
-            design = design_from_dict(spec["design"])
-        except Exception as exc:  # noqa: BLE001 - unverifiable == failed
-            return [
-                Diagnostic(
-                    "verify.schema",
-                    ERROR,
-                    "spec.json",
-                    f"cannot reload the job spec to verify against: {exc}",
-                )
-            ]
-        return [
-            d
-            for d in verify_result_payload(design, payload)
-            if d.severity == ERROR
-        ]
-
     def _run_job(self, job: Job) -> None:
-        """Own one RUNNING job: spawn, pump events, judge the outcome."""
+        """Own one RUNNING job: spawn, pump events, judge the outcome.
+
+        The spec is parsed once per attempt: the child gets the design
+        and config as ``Process`` args, and the result is verified
+        against the same design.  The runner blocks until the child's
+        next event or its exit, so a finished job is collected at once.
+        EOF, or a frame torn by the child's death, means the child is
+        gone.
+        """
         from ..parallel import resolve_start_method
 
         ctx = mp.get_context(resolve_start_method(self.start_method))
-        event_queue = ctx.Queue()
-        proc = ctx.Process(
-            target=_job_worker_main,
-            args=(str(job.dir), os.getpid(), event_queue),
-            daemon=True,
-        )
-        job.proc = proc
-        proc.start()
+        try:
+            spec = json.loads((job.dir / "spec.json").read_text())
+            design = design_from_dict(spec["design"])
+            cfg = flow_config_from_dict(spec["config"])
+            profile_fmt = obs.profile_format(spec.get("profile") or None)
+            # Free the JSON tree before the fork, so neither this
+            # process nor the child carries it through the run.
+            del spec
+        except Exception as exc:  # noqa: BLE001 - a bad spec fails the job
+            with self._events:
+                job.error = f"{type(exc).__name__}: {exc}"
+                self._transition(job, FAILED)
+            return
+        with self._spawn_lock:
+            reader, writer = ctx.Pipe(duplex=False)
+            with writer:
+                proc = ctx.Process(
+                    target=_job_worker_main,
+                    args=(
+                        str(job.dir),
+                        os.getpid(),
+                        design,
+                        cfg,
+                        profile_fmt,
+                        writer,
+                    ),
+                    daemon=True,
+                )
+                job.proc = proc
+                proc.start()
         deadline = (
             None
             if job.timeout_s is None
             else time.monotonic() + job.timeout_s
         )
         outcome: Optional[str] = None
-        while not self._stop.is_set():
-            if job.cancel_requested:
-                outcome = "cancelled"
-                break
-            if deadline is not None and time.monotonic() > deadline:
-                outcome = "timeout"
-                break
-            try:
-                self._consume_event(job, event_queue.get(timeout=0.1))
-                continue
-            except queue_mod.Empty:
-                pass
-            if not proc.is_alive():
-                break
-        if outcome is not None or self._stop.is_set():
-            proc.terminate()
-        proc.join(timeout=_JOIN_GRACE_S)
-        if proc.is_alive():
-            proc.kill()
+        with reader:
+            while not self._stop.is_set():
+                if job.cancel_requested:
+                    outcome = "cancelled"
+                    break
+                tick = _WAIT_TICK_S
+                if deadline is not None:
+                    tick = min(tick, deadline - time.monotonic())
+                    if tick <= 0:
+                        outcome = "timeout"
+                        break
+                ready = mp_connection.wait([reader, proc.sentinel], tick)
+                if reader in ready:
+                    if not self._pump_event(job, reader):
+                        break
+                elif ready or not proc.is_alive():
+                    # is_alive() sees an exit the sentinel misses: a
+                    # fork-started floorplan worker inherits the
+                    # sentinel's write end and may outlive the child.
+                    break
+            if outcome is not None or self._stop.is_set():
+                proc.terminate()
             proc.join(timeout=_JOIN_GRACE_S)
+            if proc.is_alive():
+                proc.kill()
+                proc.join(timeout=_JOIN_GRACE_S)
+            # All the child wrote is in the pipe now.  Drain it without
+            # blocking, so a torn last frame ends the drain.
+            os.set_blocking(reader.fileno(), False)
+            while self._pump_event(job, reader):
+                pass
         exitcode = proc.exitcode
-        while True:
-            try:
-                self._consume_event(job, event_queue.get_nowait())
-            except queue_mod.Empty:
-                break
         job.proc = None
 
         if outcome == "cancelled":
@@ -1071,7 +1117,7 @@ class JobManager:
                 # independently re-derived.  A failure is a FAILED job
                 # with the diagnostic list — never a silently-wrong
                 # DONE.
-                diagnostics = self._verify_payload(job, payload)
+                diagnostics = _verify_errors(design, payload)
                 if diagnostics:
                     with self._events:
                         job.error = (

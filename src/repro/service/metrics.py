@@ -11,7 +11,7 @@ The service keeps exactly one of these per process (module-global
 :func:`service_metrics`); the HTTP layer, the job manager and the
 resource sampler all write into it, and ``GET /api/v1/metrics`` renders
 it.  Child-job registries ship their typed exports over the existing
-parent/child event queue and fold in via :meth:`merge_child` — those
+parent/child event pipe and fold in via :meth:`merge_child` — those
 keep their plain dotted names and render through the same
 :func:`repro.obs.openmetrics.add_registry_export` path the CLI's
 ``metrics-dump`` uses, so solver counter names can never drift between

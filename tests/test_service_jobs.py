@@ -1,6 +1,11 @@
 """Tests for the async job manager (no HTTP; the manager API directly)."""
 
 import json
+import multiprocessing as mp
+import os
+import struct
+import time
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +16,29 @@ from repro.io import (
     design_to_dict,
     floorplan_to_dict,
 )
-from repro.service import JobManager, cache_key
+from repro.service import JobManager, cache_key, jobs
 from repro.service.jobs import TEST_EXIT_ENV
+
+# A patched child entry point reaches the child only when it is forked.
+fork_only = pytest.mark.skipif(
+    "fork" not in mp.get_all_start_methods(),
+    reason="needs the fork start method",
+)
+
+
+def _sleeping_worker(job_dir, *args):
+    """A job child that publishes its pid and never finishes."""
+    tmp = Path(job_dir) / "child.pid.tmp"
+    tmp.write_text(str(os.getpid()))
+    os.replace(tmp, Path(job_dir) / "child.pid")
+    time.sleep(60)
+
+
+def _torn_frame_worker(job_dir, parent_pid, design, cfg, profile_fmt, conn):
+    """A job child that dies mid-message: the frame header promises
+    1 MiB and only 16 bytes follow."""
+    os.write(conn.fileno(), struct.pack("!i", 1 << 20) + bytes(16))
+    os._exit(0)
 
 
 @pytest.fixture(scope="module")
@@ -26,8 +52,6 @@ def direct(design):
 
 
 def wait_terminal(manager, job_id, timeout_s=120.0):
-    import time
-
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
         view = manager.status(job_id)
@@ -159,6 +183,97 @@ class TestJobLifecycle:
         finally:
             manager.shutdown()
 
+    def test_completion_does_not_wait_for_the_tick(
+        self, design, tmp_path, monkeypatch
+    ):
+        # The runner wakes on the child's exit, not on its wait tick.
+        monkeypatch.setattr(jobs, "_WAIT_TICK_S", 30.0)
+        manager = JobManager(tmp_path, max_workers=1)
+        try:
+            view = manager.submit(design_to_dict(design))
+            final = wait_terminal(manager, view["id"], timeout_s=10.0)
+            assert final["state"] == "DONE", final
+        finally:
+            manager.shutdown()
+
+    @fork_only
+    def test_cancel_running_job(self, design, tmp_path, monkeypatch):
+        real = jobs._job_worker_main
+        monkeypatch.setattr(jobs, "_job_worker_main", _sleeping_worker)
+        manager = JobManager(tmp_path, max_workers=1, start_method="fork")
+        try:
+            view = manager.submit(design_to_dict(design))
+            job_dir = tmp_path / "jobs" / view["id"]
+            deadline = time.monotonic() + 30.0
+            while not (job_dir / "child.pid").exists():
+                assert time.monotonic() < deadline, "child never started"
+                time.sleep(0.02)
+            pid = int((job_dir / "child.pid").read_text())
+            assert manager.status(view["id"])["state"] == "RUNNING"
+            manager.cancel(view["id"])
+            final = wait_terminal(manager, view["id"], timeout_s=30.0)
+            assert final["state"] == "CANCELLED"
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)  # terminated and reaped, not a zombie
+            assert not (job_dir / "result.json").exists()
+            assert view["cache_key"] not in manager.cache
+            monkeypatch.setattr(jobs, "_job_worker_main", real)
+            after = manager.submit(design_to_dict(design))
+            assert after["cached"] is False
+            assert wait_terminal(manager, after["id"])["state"] == "DONE"
+        finally:
+            manager.shutdown()
+
+    def test_spawn_child_matches_fork(self, design, direct, tmp_path):
+        # Under spawn the design and config reach the child pickled.
+        identities = {}
+        for method in ("fork", "spawn"):
+            if method not in mp.get_all_start_methods():
+                continue
+            manager = JobManager(
+                tmp_path / method, max_workers=1, start_method=method
+            )
+            try:
+                view = manager.submit(design_to_dict(design))
+                final = wait_terminal(manager, view["id"])
+                assert final["state"] == "DONE", final
+                result = manager.result(view["id"])
+                identities[method] = (result["est_wl"], result["twl"])
+            finally:
+                manager.shutdown()
+        assert "spawn" in identities
+        assert set(identities.values()) == {
+            (direct.floorplan_result.est_wl, direct.twl)
+        }
+
+    def test_unusable_spec_fails_the_job(self, design, tmp_path):
+        # A recovered job whose spec no longer parses fails with the
+        # parse error instead of spawning a child.
+        manager = JobManager(tmp_path, max_workers=1)
+        manager.shutdown()
+        job_dir = tmp_path / "jobs" / "badspec00000"
+        job_dir.mkdir(parents=True)
+        (job_dir / "spec.json").write_text(json.dumps({"config": {}}))
+        (job_dir / "state.json").write_text(
+            json.dumps(
+                {
+                    "id": "badspec00000",
+                    "design": design.name,
+                    "state": "QUEUED",
+                    "cache_key": "",
+                    "created_unix_s": 1.0,
+                }
+            )
+        )
+        revived = JobManager(tmp_path, max_workers=1)
+        try:
+            final = wait_terminal(revived, "badspec00000", timeout_s=30.0)
+            assert final["state"] == "FAILED"
+            assert final["error"] == "KeyError: 'design'"
+            assert final["attempts"] == 1
+        finally:
+            revived.shutdown()
+
 
 class TestCrashResume:
     def test_crash_retries_and_resumes(
@@ -238,6 +353,27 @@ class TestCrashResume:
             assert events[0]["type"] == "recovered"
         finally:
             revived.shutdown()
+
+    @fork_only
+    def test_torn_frame_fails_the_job_and_frees_the_runner(
+        self, design, tmp_path, monkeypatch
+    ):
+        real = jobs._job_worker_main
+        monkeypatch.setattr(jobs, "_job_worker_main", _torn_frame_worker)
+        manager = JobManager(
+            tmp_path, max_workers=1, crash_retries=0, start_method="fork"
+        )
+        try:
+            torn = manager.submit(design_to_dict(design))
+            final = wait_terminal(manager, torn["id"], timeout_s=30.0)
+            assert final["state"] == "FAILED", final
+            assert "died" in final["error"]
+            monkeypatch.setattr(jobs, "_job_worker_main", real)
+            after = manager.submit(design_to_dict(design))
+            assert after["cached"] is False
+            assert wait_terminal(manager, after["id"])["state"] == "DONE"
+        finally:
+            manager.shutdown()
 
 
 class TestStateSalvage:
@@ -322,8 +458,6 @@ class TestTerminalGC:
         # max_terminal_jobs=0 prunes each job the moment it finishes;
         # the cached result proves it ran to completion, and GC never
         # touched it while QUEUED/RUNNING.
-        import time
-
         manager = JobManager(tmp_path, max_workers=1, max_terminal_jobs=0)
         try:
             data = design_to_dict(load_tiny(die_count=3, signal_count=6))
