@@ -200,9 +200,7 @@ def _spec_sa_t4m() -> Tuple[Dict[str, float], Dict[str, Any], Dict]:
     it moves with any change to the accepted trajectory;
     ``floorplans_evaluated`` is the move count, fixed by the schedule in
     an unbudgeted run.  Both must be bit-identical whether the shared
-    annealer's delta evaluation is on (``SAConfig.incremental``, the
-    default; ``BTreeSAConfig`` inherits it), off
-    (``incremental=False``) or force-disabled via
+    annealer's delta evaluation is on (the default) or disabled via
     ``REPRO_SA_FULL_EVAL=1``.  Only the ``floorplan.sa`` stage time may
     move, which is exactly what the compare gate watches: running this
     spec under ``REPRO_SA_FULL_EVAL=1`` against a delta-eval baseline

@@ -20,7 +20,6 @@ from .efa import EFAConfig, EnumerativeFloorplanner, run_efa
 from .estimator import (
     DEFAULT_BATCH_CHUNK_BYTES,
     FastHpwlEvaluator,
-    batch_chunk_bytes,
     greedy_assignment_est_wl,
     orientation_code,
     orientation_from_code,
@@ -29,7 +28,6 @@ from .incremental import (
     DEFAULT_CROSS_CHECK_EVERY,
     IncrementalHpwl,
     full_eval_forced,
-    resolve_cross_check_every,
 )
 from .greedy_packing import (
     GreedyPacker,
@@ -48,10 +46,8 @@ __all__ = [
     "DEFAULT_CROSS_CHECK_EVERY",
     "DEFAULT_DIE_THRESHOLD",
     "IncrementalHpwl",
-    "batch_chunk_bytes",
     "full_eval_forced",
     "pack_btree",
-    "resolve_cross_check_every",
     "run_btree_sa",
     "EFAConfig",
     "EnumerativeFloorplanner",

@@ -37,7 +37,6 @@ from .incremental import (
     DEFAULT_CROSS_CHECK_EVERY,
     IncrementalHpwl,
     full_eval_forced,
-    resolve_cross_check_every,
 )
 
 _EPS = 1e-9
@@ -112,12 +111,8 @@ class SAConfig:
     min_temperature_ratio: float = 1e-4
     time_budget_s: Optional[float] = None
     overflow_penalty: float = 1e6
-    # Delta (dirty-net) HPWL evaluation; bit-identical to full
-    # re-evaluation, so this only moves wall-clock.  Overridden off by
-    # REPRO_SA_FULL_EVAL=1 (see repro.floorplan.incremental).
-    incremental: bool = True
-    # Verify the delta result against a from-scratch evaluation every
-    # this-many proposals (0 disables; REPRO_SA_CROSS_CHECK overrides).
+    # Verify the delta (dirty-net) HPWL result against a from-scratch
+    # evaluation every this-many proposals (0 disables).
     cross_check_every: int = DEFAULT_CROSS_CHECK_EVERY
 
     def __post_init__(self) -> None:
@@ -173,17 +168,13 @@ class Annealer:
         self.pack_cache_misses = 0
         # ``_score`` prices a candidate; ``_accept`` adopts the last one
         # as the delta-eval reference (nothing to adopt under full
-        # evaluation).  Delta HPWL is bit-identical; see incremental.py.
+        # evaluation, which REPRO_SA_FULL_EVAL=1 forces).  Delta HPWL is
+        # bit-identical; see incremental.py.
         self._inc: Optional[IncrementalHpwl] = None
         self._score, self._accept = self.evaluator.hpwl, _no_op
-        if (
-            self.config.incremental
-            and not full_eval_forced()
-            and self.evaluator.supports_incremental
-        ):
+        if not full_eval_forced():
             self._inc = IncrementalHpwl(
-                self.evaluator,
-                resolve_cross_check_every(self.config.cross_check_every),
+                self.evaluator, self.config.cross_check_every
             )
             self._score, self._accept = self._inc.propose, self._inc.accept
 

@@ -11,20 +11,18 @@ any move that changes the packed outline shifts *every* die, so the
 dirty set is derived from what **actually changed bitwise** (candidate
 die arrays diffed against the committed ones), not from the move type.
 Rotation moves and outline-preserving swaps stay cheap; outline-changing
-moves trigger a full rescore — through a fused slotted kernel that is
-itself ~3x faster than the segmented ``reduceat`` evaluation, so even a
-100%-dirty anneal comes out well ahead.
+moves trigger a full rescore — through a fused x+y slotted kernel with a
+gathered-local cache, so even a 100%-dirty anneal comes out well ahead.
 
 **Bit-identity.**  The returned cost is bit-identical to
 :meth:`FastHpwlEvaluator.hpwl` by construction, not by tolerance:
 
 * a clean signal's cached extents are exact min/max over terminal
   coordinates that did not change, so they equal a fresh reduction;
-* a dirty signal's extents are recomputed over its padded slot row —
-  pads repeat a real terminal, min/max are idempotent over repeated
-  values, so the strided reduction equals ``reduceat`` over the real
-  terminals; every coordinate is the same ``local + die`` float64 sum
-  (IEEE-754 addition is commutative, so operand order is free);
+* a dirty signal's extents are recomputed over the evaluator's padded
+  slot row, transposed — the same slots, so the same exact min/max;
+  every coordinate is the same ``local + die`` float64 sum (IEEE-754
+  addition is commutative, so operand order is free);
 * the total re-runs ``np.sum`` over full contiguous ``(S,)`` span
   views — the exact pairwise-summation expression ``hpwl`` ends with.
 
@@ -56,7 +54,6 @@ __all__ = [
     "DEFAULT_CROSS_CHECK_EVERY",
     "IncrementalHpwl",
     "full_eval_forced",
-    "resolve_cross_check_every",
 ]
 
 #: Default cross-check cadence: every this-many proposals the delta
@@ -73,21 +70,6 @@ def full_eval_forced() -> bool:
         "yes",
         "on",
     )
-
-
-def resolve_cross_check_every(configured: int) -> int:
-    """Cross-check cadence: ``REPRO_SA_CROSS_CHECK`` overrides the config
-    value; 0 disables checking (the delta math stays on)."""
-    raw = os.environ.get("REPRO_SA_CROSS_CHECK", "").strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_SA_CROSS_CHECK must be an integer, got {raw!r}"
-            ) from None
-        return max(0, value)
-    return max(0, configured)
 
 
 class IncrementalHpwl:
@@ -124,22 +106,16 @@ class IncrementalHpwl:
         evaluator: FastHpwlEvaluator,
         cross_check_every: int = DEFAULT_CROSS_CHECK_EVERY,
     ):
-        if not evaluator.supports_incremental:
-            raise ValueError(
-                "design has no slot tables (degenerate signal shape); "
-                "incremental evaluation unavailable"
-            )
         self.evaluator = evaluator
         self.cross_check_every = max(0, cross_check_every)
         ev = evaluator
         n = ev.die_count
         signals = ev.signal_count
-        width = ev._slot_width  # S * L slots per axis
         length = ev._slot_len
         self._n = n
         self._signals = signals
         self._length = length
-        self._width2 = 2 * width
+        self._width2 = 2 * ev._slot_width
         # Combined x+y slot tables in *transposed* (slot-major) layout:
         # slot ``k = j * 2S + row`` holds terminal slot ``j`` of span row
         # ``row`` (rows < S are x extents, rows >= S the y extents of the
@@ -147,27 +123,14 @@ class IncrementalHpwl:
         # ``(L, 2S)`` then reduces over *contiguous* rows — and one flat
         # ``(4 * 2SL,)`` local table indexed ``code * 2SL + k`` lets a
         # single integer gather feed both axes.
-        term = ev._slot_term.reshape(signals, length)
-        t_die = ev._t_die
-        die2_blocks = []
-        dxy_blocks = []
-        local_blocks: List[List[np.ndarray]] = [[] for _ in range(4)]
-        for j in range(length):
-            terms_j = term[:, j]
-            dies_j = t_die[terms_j]
-            die2_blocks.extend((dies_j, dies_j))
-            dxy_blocks.extend((dies_j, dies_j + n))
-            for c in range(4):
-                local_blocks[c].extend(
-                    (ev._local_x[c, terms_j], ev._local_y[c, terms_j])
-                )
-        self._slot_die2 = np.ascontiguousarray(
-            np.concatenate(die2_blocks)
-        )
-        self._slot_dxy = np.ascontiguousarray(np.concatenate(dxy_blocks))
-        self._local_xy = np.ascontiguousarray(
-            np.concatenate([np.concatenate(b) for b in local_blocks])
-        )
+        dies = ev._slot_t_die.reshape(signals, length).T
+        self._slot_die2 = np.concatenate((dies, dies), axis=1).ravel()
+        self._slot_dxy = np.concatenate((dies, dies + n), axis=1).ravel()
+        local_x = ev._slot_local_x.reshape(4, signals, length)
+        local_y = ev._slot_local_y.reshape(4, signals, length)
+        self._local_xy = np.concatenate(
+            (local_x.transpose(0, 2, 1), local_y.transpose(0, 2, 1)), axis=2
+        ).ravel()
         self._slot_pos = np.arange(self._width2, dtype=np.int64)
         self._fixed_min = np.concatenate(
             (ev._fixed_min_x, ev._fixed_min_y)
@@ -176,13 +139,8 @@ class IncrementalHpwl:
             (ev._fixed_max_x, ev._fixed_max_y)
         )
         self._empty_rows = (
-            np.concatenate(
-                (
-                    np.flatnonzero(ev._empty_signal),
-                    np.flatnonzero(ev._empty_signal) + signals,
-                )
-            )
-            if ev._has_empty_signal
+            np.concatenate((ev._empty_cols, ev._empty_cols + signals))
+            if ev._empty_cols.size
             else None
         )
         # Full-rescore scratch (fused kernel).
@@ -310,7 +268,9 @@ class IncrementalHpwl:
         outputs — contiguous-row passes, not numpy's slow small-axis
         reductions.  ``pair`` is ``(2, R)`` scratch enabling a two-pass
         tree reduction for the common four-slot case (min and max are
-        exact, so the combination order is free)."""
+        exact, so the combination order is free).  With no rows (no die
+        terminal at all) the outputs are the identities ``+inf`` /
+        ``-inf``; every span row is then escape-only and overwritten."""
         rows = view.shape[0]
         if rows == 1:
             np.copyto(mn, view[0])
@@ -321,6 +281,10 @@ class IncrementalHpwl:
             np.minimum(pair[0], pair[1], out=mn)
             np.maximum(view[:2], view[2:], out=pair)
             np.maximum(pair[0], pair[1], out=mx)
+            return
+        if not rows:
+            mn.fill(np.inf)
+            mx.fill(-np.inf)
             return
         np.minimum(view[0], view[1], out=mn)
         np.maximum(view[0], view[1], out=mx)
@@ -340,7 +304,7 @@ class IncrementalHpwl:
         base = self._gathered_local(codes)
         self._dxy.take(self._slot_dxy, out=f2)
         np.add(base, f2, out=f1)
-        view = f1.reshape(self._length, -1)
+        view = f1.reshape(self._length, 2 * self._signals)
         mn, mx = self._p_min, self._p_max
         self._minmax_rows(view, mn, mx, self._pair)
         np.minimum(mn, self._fixed_min, out=mn)
@@ -364,7 +328,7 @@ class IncrementalHpwl:
         self._local_xy.take(i1, out=f1)
         self._dxy.take(self._die_dxy_idx[d], out=f2)
         f1 += f2
-        view = f1.reshape(self._length, -1)
+        view = f1.reshape(self._length, rows.size)
         self._minmax_rows(view, mn, mx, self._die_pair[d])
         np.minimum(mn, self._die_fixed_min[d], out=mn)
         np.maximum(mx, self._die_fixed_max[d], out=mx)

@@ -18,7 +18,8 @@ the breakpoints ``{lo - o, hi - o}``, clamped into the slack interval — no
 sampling, no line search.  Sweeps repeat until no die moves.
 
 The optimizer never degrades the estimate (every accepted move is an exact
-improvement) and never leaves the legal region.
+improvement) and never leaves the legal region.  It reports the estimate
+from :class:`FastHpwlEvaluator`, the kernel every floorplanner scores with.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..eval import hpwl_estimate
 from ..geometry import Point, Rect
 from ..model import Design, Floorplan, Placement
+from .estimator import FastHpwlEvaluator
 
 _EPS = 1e-9
 
@@ -138,7 +139,8 @@ def optimize_floorplan(
         raise ValueError("post-floorplan optimization needs a legal floorplan")
 
     start = time.monotonic()
-    stats = PostOptStats(initial_est_wl=hpwl_estimate(design, floorplan))
+    est_wl = FastHpwlEvaluator(design).hpwl_of_floorplan
+    stats = PostOptStats(initial_est_wl=est_wl(floorplan))
 
     placements: Dict[str, Placement] = floorplan.placements
     # Per-die signal terminals: (signal, local offset of this die's buffer).
@@ -180,7 +182,7 @@ def optimize_floorplan(
         if not moved:
             break
 
-    stats.final_est_wl = hpwl_estimate(design, current)
+    stats.final_est_wl = est_wl(current)
     stats.runtime_s = time.monotonic() - start
     return current, stats
 

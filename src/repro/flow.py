@@ -264,6 +264,10 @@ def run_flow(
                 )
                 fp_result.floorplan = optimized
                 fp_result.est_wl = post_stats.final_est_wl
+                # EFA's certified bound covers the packed candidates it
+                # enumerates; shifted dies leave that set, so the bound
+                # no longer holds for this floorplan.
+                fp_result.stats.certified_lower_bound = None
                 # The floorplan stage's reported wall-clock must include
                 # the shifting pass, or FT under-reports the stage.
                 fp_result.stats.runtime_s += post_stats.runtime_s

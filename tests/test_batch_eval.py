@@ -1,7 +1,7 @@
 """Tests for the batched orientation-sweep evaluation path.
 
-Covers the three layers of the batch engine plus the reduceat
-empty-segment regression it exposed:
+Covers the three layers of the batch engine plus the escape-only
+(empty-segment) regression it exposed:
 
 * ``FastHpwlEvaluator.hpwl_batch`` — bit-identical to row-by-row
   ``hpwl``;
@@ -112,7 +112,7 @@ def reference_hpwl(design: Design, floorplan: Floorplan) -> float:
 
 
 class TestEscapeOnlySignalRegression:
-    """The reduceat empty-segment fix, at every list position."""
+    """The escape-only (empty-segment) fix, at every list position."""
 
     @pytest.mark.parametrize("position", ["first", "middle", "last"])
     def test_hpwl_matches_reference(self, position):
@@ -329,9 +329,13 @@ class TestTruncatedPair:
         assert scored == 8
 
     def test_sweep_kernel_checks_budget_after_each_chunk(self, monkeypatch):
+        import repro.floorplan.estimator
+
         design = load_tiny(die_count=4, signal_count=12)
         row = FastHpwlEvaluator(design).batch_row_bytes()
-        monkeypatch.setenv("REPRO_BATCH_CHUNK_BYTES", str(row))
+        monkeypatch.setattr(
+            repro.floorplan.estimator, "DEFAULT_BATCH_CHUNK_BYTES", row
+        )
         # One-row chunks: expiring after the first chunk leaves exactly
         # one evaluated candidate.
         stats = self._run(monkeypatch, checks=1)
@@ -375,30 +379,27 @@ class TestEnumerationWindows:
 class TestChunkBudget:
     """Byte-derived chunking of the batched kernel's scratch."""
 
-    def test_default_budget(self, monkeypatch):
-        from repro.floorplan import DEFAULT_BATCH_CHUNK_BYTES, batch_chunk_bytes
+    @staticmethod
+    def _set_budget(monkeypatch, value):
+        import repro.floorplan.estimator
 
-        monkeypatch.delenv("REPRO_BATCH_CHUNK_BYTES", raising=False)
-        assert batch_chunk_bytes() == DEFAULT_BATCH_CHUNK_BYTES
+        monkeypatch.setattr(
+            repro.floorplan.estimator, "DEFAULT_BATCH_CHUNK_BYTES", value
+        )
 
-    def test_env_override(self, monkeypatch):
-        from repro.floorplan import batch_chunk_bytes
+    def test_default_budget(self):
+        from repro.floorplan import DEFAULT_BATCH_CHUNK_BYTES
 
-        monkeypatch.setenv("REPRO_BATCH_CHUNK_BYTES", "65536")
-        assert batch_chunk_bytes() == 65536
-
-    def test_bad_env_rejected(self, monkeypatch):
-        from repro.floorplan import batch_chunk_bytes
-
-        monkeypatch.setenv("REPRO_BATCH_CHUNK_BYTES", "lots")
-        with pytest.raises(ValueError, match="REPRO_BATCH_CHUNK_BYTES"):
-            batch_chunk_bytes()
+        evaluator = FastHpwlEvaluator(load_tiny(die_count=3, signal_count=8))
+        assert DEFAULT_BATCH_CHUNK_BYTES == 8 << 20
+        assert evaluator.batch_chunk_rows() == (
+            DEFAULT_BATCH_CHUNK_BYTES // evaluator.batch_row_bytes()
+        )
 
     def test_row_bytes_reflects_actual_widths(self):
         design = load_tiny(die_count=3, signal_count=8)
         evaluator = FastHpwlEvaluator(design)
         signals = evaluator.signal_count
-        assert evaluator._use_slots
         # One int64 + two float64 (B, SL) gathers and four (B, S)
         # reduction rows, all 8-byte elements.
         assert evaluator.batch_row_bytes() == 8 * (
@@ -409,20 +410,19 @@ class TestChunkBudget:
         design = load_tiny(die_count=3, signal_count=8)
         evaluator = FastHpwlEvaluator(design)
         row = evaluator.batch_row_bytes()
-        monkeypatch.setenv("REPRO_BATCH_CHUNK_BYTES", str(row * 10))
+        self._set_budget(monkeypatch, row * 10)
         assert evaluator.batch_chunk_rows() == 10
         # A budget below one row clamps up: progress is never zero rows.
-        monkeypatch.setenv("REPRO_BATCH_CHUNK_BYTES", "1")
+        self._set_budget(monkeypatch, 1)
         assert evaluator.batch_chunk_rows() == 1
 
     def test_tiny_budget_same_efa_winner(self, monkeypatch):
         """The EFA loop chunks sweeps by ``batch_chunk_rows``; shrinking
         the budget to one row per chunk must not move the winner."""
         design = load_tiny(die_count=3, signal_count=8)
-        monkeypatch.delenv("REPRO_BATCH_CHUNK_BYTES", raising=False)
         want = run_efa(design, EFAConfig())
         row = FastHpwlEvaluator(design).batch_row_bytes()
-        monkeypatch.setenv("REPRO_BATCH_CHUNK_BYTES", str(row))
+        self._set_budget(monkeypatch, row)
         got = run_efa(design, EFAConfig())
         assert got.est_wl == want.est_wl
         assert got.candidate_key == want.candidate_key

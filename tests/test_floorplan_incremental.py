@@ -31,7 +31,6 @@ from repro.floorplan import (
     SAConfig,
     BTreeSAConfig,
     full_eval_forced,
-    resolve_cross_check_every,
     run_btree_sa,
     run_sa,
 )
@@ -41,9 +40,7 @@ from repro.floorplan.btree import BTreeFloorplanner
 
 @pytest.fixture(scope="module")
 def design():
-    d = load_tiny(die_count=4, signal_count=12)
-    assert FastHpwlEvaluator(d).supports_incremental
-    return d
+    return load_tiny(die_count=4, signal_count=12)
 
 
 @pytest.fixture()
@@ -78,22 +75,18 @@ class TestEnvKnobs:
         monkeypatch.setenv("REPRO_SA_FULL_EVAL", value)
         assert full_eval_forced() is False
 
-    def test_cross_check_uses_config_without_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SA_CROSS_CHECK", raising=False)
-        assert resolve_cross_check_every(17) == 17
-        assert resolve_cross_check_every(0) == 0
-        assert resolve_cross_check_every(-3) == 0
-
-    def test_cross_check_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SA_CROSS_CHECK", "5")
-        assert resolve_cross_check_every(1024) == 5
-        monkeypatch.setenv("REPRO_SA_CROSS_CHECK", "-1")
-        assert resolve_cross_check_every(1024) == 0
-
-    def test_cross_check_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SA_CROSS_CHECK", "often")
-        with pytest.raises(ValueError, match="REPRO_SA_CROSS_CHECK"):
-            resolve_cross_check_every(1024)
+    def test_cross_check_uses_config_without_env(self, design, monkeypatch):
+        # The config field is the one cadence setting; 0 disables.
+        monkeypatch.delenv("REPRO_SA_FULL_EVAL", raising=False)
+        for every in (17, 0):
+            sa = AnnealingFloorplanner(
+                design, _fast_sa(cross_check_every=every)
+            )
+            btree = BTreeFloorplanner(
+                design, _fast_btree(cross_check_every=every)
+            )
+            assert sa._inc.cross_check_every == every
+            assert btree._inc.cross_check_every == every
 
     def test_config_rejects_negative_cadence(self):
         with pytest.raises(ValueError, match="cross_check_every"):
@@ -109,13 +102,6 @@ class TestIncrementalUnit:
             np.array([rng.uniform(0.0, 8.0) for _ in range(n)]),
             np.array([rng.randrange(4) for _ in range(n)], dtype=np.int64),
         )
-
-    def test_rejects_unsupported_evaluator(self):
-        class _NoSlots:
-            supports_incremental = False
-
-        with pytest.raises(ValueError, match="incremental"):
-            IncrementalHpwl(_NoSlots())
 
     def test_accept_without_propose_raises(self, evaluator):
         inc = IncrementalHpwl(evaluator)
@@ -273,20 +259,6 @@ class TestEngineBitIdentity:
             slow.floorplan.placements == fast.floorplan.placements
         )
         assert fast.stats.incremental_proposals > 0
-        assert slow.stats.incremental_proposals == 0
-
-    @pytest.mark.parametrize(
-        "runner,cfg",
-        [(run_sa, _fast_sa), (run_btree_sa, _fast_btree)],
-        ids=["sa", "btree"],
-    )
-    def test_incremental_false_identical_trajectory(
-        self, design, runner, cfg
-    ):
-        fast = runner(design, cfg(seed=9))
-        slow = runner(design, cfg(seed=9, incremental=False))
-        assert slow.est_wl == fast.est_wl
-        assert slow.floorplan.placements == fast.floorplan.placements
         assert slow.stats.incremental_proposals == 0
 
     def test_tiny_pack_cache_same_result(self, design, monkeypatch):

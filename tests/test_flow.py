@@ -4,8 +4,9 @@ import pytest
 
 from repro.assign import MCMFAssignerConfig
 from repro.benchgen import load_tiny
-from repro.floorplan import EFAConfig, run_efa
+from repro.floorplan import EFAConfig, FastHpwlEvaluator, run_efa
 from repro.flow import FlowConfig, FlowResult, run_flow
+from repro.validate import ERROR, verify_flow_result
 
 
 @pytest.fixture(scope="module")
@@ -61,3 +62,15 @@ class TestRunFlow:
             plain.floorplan_result.est_wl + 1e-9
         )
         assert post.floorplan.is_legal()
+
+    def test_post_optimize_reports_evaluator_est_wl(self, design):
+        # The shifting pass reports est_wl from the same kernel as every
+        # floorplanner, and the independent verifier accepts it.
+        post = run_flow(design, FlowConfig(post_optimize=True))
+        assert post.floorplan_result.est_wl == FastHpwlEvaluator(
+            design
+        ).hpwl_of_floorplan(post.floorplan)
+        errors = [
+            d for d in verify_flow_result(design, post) if d.severity == ERROR
+        ]
+        assert errors == []
