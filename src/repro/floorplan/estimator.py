@@ -28,8 +28,8 @@ _CODE_ORIENT = {i: o for o, i in _ORIENT_CODE.items()}
 #: Per-chunk scratch budget (bytes) for batched evaluation.  The sweep
 #: working set is sized from the actual row width and dtype (see
 #: :meth:`FastHpwlEvaluator.batch_chunk_rows`) instead of a fixed element
-#: count, so designs with wide slot rows get proportionally fewer rows
-#: per chunk and stay cache-resident.
+#: count, so designs with more signals get proportionally fewer rows per
+#: chunk.
 DEFAULT_BATCH_CHUNK_BYTES = 8 << 20
 
 
@@ -51,13 +51,15 @@ class FastHpwlEvaluator:
     are folded into precomputed per-signal fixed extrema, so only die-borne
     terminals are touched per evaluation.
 
-    Every evaluation runs on one padded, signal-major slot layout: signal
-    ``s`` owns slots ``[s * L, (s + 1) * L)``, ``L`` being the largest
-    die-terminal count of any signal, and a signal with fewer terminals
-    repeats its first one.  ``min`` and ``max`` are exact over repeated
-    values, so a slot row reduces to exactly its signal's extrema.  A
-    validated design has at most one buffer per die per signal, so
-    ``L <= n``.
+    Every evaluation runs on one die-major block layout.  A *block* is a
+    ``(4, S)`` table per axis of local terminal offsets, one row per
+    orientation code and one column per signal, holding NaN where the
+    signal has no terminal in the block.  Each die with terminals owns one
+    block, plus one more for every extra terminal one signal has on it,
+    so a validated design (at most one buffer per die per signal) has one
+    block per die.  A floorplan's block coordinates are the table row of
+    its die's orientation code plus the die's origin, and NaN-skipping
+    ``fmin``/``fmax`` fold them into the per-signal extrema.
     """
 
     def __init__(self, design: Design):
@@ -69,8 +71,9 @@ class FastHpwlEvaluator:
 
         t_die: List[int] = []
         t_signal: List[int] = []
-        local_x = [[], [], [], []]  # per orientation code
-        local_y = [[], [], [], []]
+        t_rank: List[int] = []  # earlier terminals of its signal on its die
+        local_x: List[List[float]] = []  # per terminal, per orientation code
+        local_y: List[List[float]] = []
         fixed_min_x: List[float] = []
         fixed_max_x: List[float] = []
         fixed_min_y: List[float] = []
@@ -78,16 +81,22 @@ class FastHpwlEvaluator:
 
         inf = float("inf")
         for s, signal in enumerate(design.signals):
+            on_die: Dict[int, int] = {}
             for buffer_id in signal.buffer_ids:
                 die_id = design.die_of_buffer(buffer_id)
                 die = design.die(die_id)
                 pos = die.buffer(buffer_id).position
-                t_die.append(self._die_index[die_id])
+                d = self._die_index[die_id]
+                t_die.append(d)
                 t_signal.append(s)
-                for o in ALL_ORIENTATIONS:
-                    p = o.apply(pos, die.width, die.height)
-                    local_x[_ORIENT_CODE[o]].append(p.x)
-                    local_y[_ORIENT_CODE[o]].append(p.y)
+                t_rank.append(on_die.get(d, 0))
+                on_die[d] = t_rank[-1] + 1
+                located = [
+                    o.apply(pos, die.width, die.height)
+                    for o in ALL_ORIENTATIONS
+                ]
+                local_x.append([p.x for p in located])
+                local_y.append([p.y for p in located])
             if signal.escape_id is not None:
                 e = design.escape(signal.escape_id).position
                 fixed_min_x.append(e.x)
@@ -104,66 +113,62 @@ class FastHpwlEvaluator:
         # queries for the greedy packer and the incremental evaluator).
         self._t_die = np.asarray(t_die, dtype=np.int64)
         self._t_signal = np.asarray(t_signal, dtype=np.int64)
-        self._fixed_min_x = np.asarray(fixed_min_x, dtype=np.float64)
-        self._fixed_max_x = np.asarray(fixed_max_x, dtype=np.float64)
-        self._fixed_min_y = np.asarray(fixed_min_y, dtype=np.float64)
-        self._fixed_max_y = np.asarray(fixed_max_y, dtype=np.float64)
-        self._signal_count = len(design.signals)
-        counts = np.bincount(self._t_signal, minlength=self._signal_count)
-        # Escape-only signals: no die terminal, so their slots point at
-        # terminal 0 and reduce to the min/max identities instead.
-        self._empty_cols = np.flatnonzero(counts == 0)
+        self._fixed = np.array(
+            [fixed_min_x, fixed_max_x, fixed_min_y, fixed_max_y],
+            dtype=np.float64,
+        )
+        (
+            self._fixed_min_x,
+            self._fixed_max_x,
+            self._fixed_min_y,
+            self._fixed_max_y,
+        ) = self._fixed
+        signals = self._signal_count = len(design.signals)
 
-        length = int(counts.max(initial=0))
-        width = self._signal_count * length
-        self._slot_len = length
-        self._slot_width = width
-        starts = np.cumsum(counts) - counts
-        slot_term = np.repeat(np.where(counts > 0, starts, 0), length)
-        terms = np.arange(len(t_die))
-        slot_term[
-            self._t_signal * length + terms - starts[self._t_signal]
-        ] = terms
-        self._slot_t_die = self._t_die[slot_term]
-        self._slot_range = np.arange(width, dtype=np.int64)
-        # (4, SL) per-code local coordinates, flattened so one integer
-        # gather ``code * SL + slot`` feeds ``np.take`` with an ``out=``.
-        slot_x = np.asarray(local_x, dtype=np.float64)[:, slot_term]
-        slot_y = np.asarray(local_y, dtype=np.float64)[:, slot_term]
-        self._slot_local_x = slot_x.reshape(-1)
-        self._slot_local_y = slot_y.reshape(-1)
-        # Per-slot local-coordinate extrema over ALL four orientations,
-        # used by the Eq. 2 lower bounds (inferior branch cutting).  Any
-        # candidate orientation keeps each terminal's local offset inside
-        # these intervals, which is what makes the bound a certified
-        # lower bound rather than the paper's heuristic form.
-        self._slot_all_x = (slot_x.min(axis=0), slot_x.max(axis=0))
-        self._slot_all_y = (slot_y.min(axis=0), slot_y.max(axis=0))
-        self._slot_scratch_rows = 0
-
-    def _slot_buffers(self, batch: int):
-        """Preallocated slotted-kernel scratch, grown to the largest batch
-        seen and sliced per call, so chunked sweeps never re-allocate."""
-        if batch > self._slot_scratch_rows:
-            width = self._slot_width
-            self._slot_i1 = np.empty((batch, width), dtype=np.int64)
-            self._slot_f1 = np.empty((batch, width))
-            self._slot_f2 = np.empty((batch, width))
-            self._slot_red = np.empty((4, batch, self._signal_count))
-            self._slot_scratch_rows = batch
-        return (
-            self._slot_i1[:batch],
-            self._slot_f1[:batch],
-            self._slot_f2[:batch],
-            self._slot_red[:, :batch],
+        # Blocks in die order: die d owns blocks [start[d], start[d + 1]),
+        # one per terminal rank of a signal on it.
+        rank = np.asarray(t_rank, dtype=np.int64)
+        per_die = np.zeros(len(self.die_ids), dtype=np.int64)
+        np.maximum.at(per_die, self._t_die, rank + 1)
+        start = np.cumsum(per_die) - per_die
+        self._block_die = np.repeat(
+            np.arange(len(self.die_ids), dtype=np.int64), per_die
+        )
+        blocks = self._block_die.size
+        t_block = start[self._t_die] + rank
+        self._block_x = np.full((blocks, 4, signals), np.nan)
+        self._block_y = np.full((blocks, 4, signals), np.nan)
+        self._block_x[t_block, :, self._t_signal] = np.reshape(
+            local_x, (-1, 4)
+        )
+        self._block_y[t_block, :, self._t_signal] = np.reshape(
+            local_y, (-1, 4)
+        )
+        self._blocks = [
+            (int(d), self._block_x[k], self._block_y[k])
+            for k, d in enumerate(self._block_die)
+        ]
+        # Per-block local-coordinate extrema over ALL four orientations
+        # (NaN where absent), used by the Eq. 2 lower bounds (inferior
+        # branch cutting).  Any candidate orientation keeps each
+        # terminal's local offset inside these intervals, which is what
+        # makes the bound a certified lower bound rather than the paper's
+        # heuristic form.
+        self._block_all_x = (
+            self._block_x.min(axis=1),
+            self._block_x.max(axis=1),
+        )
+        self._block_all_y = (
+            self._block_y.min(axis=1),
+            self._block_y.max(axis=1),
         )
 
     def batch_row_bytes(self) -> int:
-        """Live scratch bytes one ``hpwl_batch`` row costs (actual dtype
-        and row width), the unit :meth:`batch_chunk_rows` divides the
-        chunk budget by: one int64 and two float64 ``(B, SL)`` arrays plus
-        four ``(B, S)`` reduction rows."""
-        return 8 * (3 * max(1, self._slot_width) + 4 * self._signal_count)
+        """Live scratch bytes one ``hpwl_batch`` row costs, the unit
+        :meth:`batch_chunk_rows` divides the chunk budget by: the four
+        ``(B, S)`` float64 extrema plus two gathered block rows (one being
+        folded in while the next is gathered)."""
+        return 8 * 6 * max(1, self._signal_count)
 
     def batch_chunk_rows(self) -> int:
         """Rows per ``hpwl_batch`` chunk that keep the live scratch inside
@@ -217,20 +222,17 @@ class FastHpwlEvaluator:
         length-``B`` vector of totals: per row, the x and then the y spans
         of :meth:`signal_extents`, each summed in signal order.
 
-        Memory: the pass materializes a few ``(B, SL)`` intermediates, so
-        callers should chunk ``B`` via :meth:`batch_chunk_rows`, which
-        sizes the chunk from the actual row width and element size.
+        Memory: the pass materializes a few ``(B, S)`` rows, so callers
+        should chunk ``B`` via :meth:`batch_chunk_rows`, which sizes the
+        chunk from the actual row width and element size.
         """
-        die_x = np.asarray(die_x, dtype=np.float64)
-        batch = die_x.shape[0]
-        # An empty batch scores nothing; with no die terminal at all,
-        # every span is a single point.
-        if batch == 0 or not self._slot_len:
-            return np.zeros(batch)
         min_x, max_x, min_y, max_y = self.signal_extents(
             die_x, die_y, orient_codes
         )
-        return np.sum(max_x - min_x, axis=1) + np.sum(max_y - min_y, axis=1)
+        # ``np.add.reduce`` is what ``np.sum`` runs, minus the wrapper
+        # layers that dominate the one-row case.
+        add = np.add.reduce
+        return add(max_x - min_x, axis=1) + add(max_y - min_y, axis=1)
 
     def signal_extents(
         self,
@@ -245,58 +247,29 @@ class FastHpwlEvaluator:
         min/max over each signal's die terminals (``die origin + local
         offset``) and its escape point.  An escape-only signal spans its
         escape point alone.  ``hpwl_batch`` sums these; the greedy
-        packer's cost reads them per signal.  The design must have at
-        least one die terminal.
+        packer's cost reads them per signal.
 
-        One integer gather builds flat local-table indices, ``np.take``
-        fills preallocated scratch, and x/y reuse the same buffers.
+        The extrema start at the escape points.  Each block then gathers
+        its table rows by its die's orientation codes, adds the die's
+        origin column and folds in with ``fmin``/``fmax``, which skip the
+        NaN of signals without a terminal in the block.
         """
         die_x = np.asarray(die_x, dtype=np.float64)
         die_y = np.asarray(die_y, dtype=np.float64)
         codes = np.asarray(orient_codes, dtype=np.int64)
-        i1, f1, f2, red = self._slot_buffers(die_x.shape[0])
-        rminx, rmaxx, rminy, rmaxy = red
-        np.take(codes, self._slot_t_die, axis=1, out=i1)
-        i1 *= self._slot_width
-        i1 += self._slot_range
-        np.take(self._slot_local_x, i1, out=f1)
-        np.take(die_x, self._slot_t_die, axis=1, out=f2)
-        f1 += f2
-        self._reduce_slots(f1, f1, rminx, rmaxx)
-        np.take(self._slot_local_y, i1, out=f1)
-        np.take(die_y, self._slot_t_die, axis=1, out=f2)
-        f1 += f2
-        self._reduce_slots(f1, f1, rminy, rmaxy)
-        return (
-            np.minimum(rminx, self._fixed_min_x),
-            np.maximum(rmaxx, self._fixed_max_x),
-            np.minimum(rminy, self._fixed_min_y),
-            np.maximum(rmaxy, self._fixed_max_y),
-        )
-
-    def _reduce_slots(
-        self,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        red_min: np.ndarray,
-        red_max: np.ndarray,
-    ) -> None:
-        """Per-signal min of ``lo`` into ``red_min`` and max of ``hi`` into
-        ``red_max``, for slotted ``(..., SL)`` arrays, via strided column
-        passes over their ``(..., S, L)`` views (numpy's small-last-axis
-        reductions are far slower).  Escape-only signals come out as the
-        identities ``+inf`` / ``-inf``, so their escape extrema decide."""
-        shape = lo.shape[:-1] + (self._signal_count, self._slot_len)
-        lo = lo.reshape(shape)
-        hi = hi.reshape(shape)
-        np.copyto(red_min, lo[..., 0])
-        np.copyto(red_max, hi[..., 0])
-        for j in range(1, self._slot_len):
-            np.minimum(red_min, lo[..., j], out=red_min)
-            np.maximum(red_max, hi[..., j], out=red_max)
-        if self._empty_cols.size:
-            red_min[..., self._empty_cols] = np.inf
-            red_max[..., self._empty_cols] = -np.inf
+        extents = np.repeat(self._fixed[:, None, :], die_x.shape[0], axis=1)
+        min_x, max_x, min_y, max_y = extents
+        for d, table_x, table_y in self._blocks:
+            code = codes[:, d]
+            coords = table_x.take(code, axis=0)
+            coords += die_x[:, d, None]
+            np.fmin(min_x, coords, out=min_x)
+            np.fmax(max_x, coords, out=max_x)
+            coords = table_y.take(code, axis=0)
+            coords += die_y[:, d, None]
+            np.fmin(min_y, coords, out=min_y)
+            np.fmax(max_y, coords, out=max_y)
+        return min_x, max_x, min_y, max_y
 
     def hpwl_of_floorplan(self, floorplan: Floorplan) -> float:
         """Convenience wrapper evaluating a :class:`Floorplan` object."""
@@ -335,7 +308,7 @@ class FastHpwlEvaluator:
         return self._lower_bound(
             die_y_min,
             die_y_max,
-            self._slot_all_y,
+            self._block_all_y,
             self._fixed_min_y,
             self._fixed_max_y,
             off_lo,
@@ -353,7 +326,7 @@ class FastHpwlEvaluator:
         return self._lower_bound(
             die_x_min,
             die_x_max,
-            self._slot_all_x,
+            self._block_all_x,
             self._fixed_min_x,
             self._fixed_max_x,
             off_lo,
@@ -364,22 +337,24 @@ class FastHpwlEvaluator:
         self,
         die_min: np.ndarray,
         die_max: np.ndarray,
-        slot_all: Tuple[np.ndarray, np.ndarray],
+        block_all: Tuple[np.ndarray, np.ndarray],
         fixed_min: np.ndarray,
         fixed_max: np.ndarray,
         off_lo: float,
         off_hi: float,
     ) -> float:
-        """One axis of the Eq. 2 bound over the slot tables."""
-        if not self._slot_len:
-            return 0.0
-        all_min, all_max = slot_all
-        dies = self._slot_t_die
-        floor, ceiling = np.empty((2, self._signal_count))
+        """One axis of the Eq. 2 bound over the block tables."""
+        all_min, all_max = block_all
+        dies = self._block_die[:, None]
         # A signal's floor is the min of its terminals' highest potential
-        # positions and its ceiling the max of their lowest ones.
-        self._reduce_slots(
-            die_max[dies] + all_max, die_min[dies] + all_min, floor, ceiling
+        # positions and its ceiling the max of their lowest ones.  Blocks
+        # without the signal hold NaN, which fmin/fmax skip; a signal in
+        # no block reduces to the identities +inf / -inf.
+        floor = np.fmin.reduce(
+            die_max[dies] + all_max, axis=0, initial=np.inf
+        )
+        ceiling = np.fmax.reduce(
+            die_min[dies] + all_min, axis=0, initial=-np.inf
         )
         # An escape point has one potential location ``e - off``: it
         # enters the ceiling (a max) with its minimum ``e - off_hi`` and

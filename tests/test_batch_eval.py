@@ -400,11 +400,9 @@ class TestChunkBudget:
         design = load_tiny(die_count=3, signal_count=8)
         evaluator = FastHpwlEvaluator(design)
         signals = evaluator.signal_count
-        # One int64 + two float64 (B, SL) gathers and four (B, S)
-        # reduction rows, all 8-byte elements.
-        assert evaluator.batch_row_bytes() == 8 * (
-            3 * evaluator._slot_width + 4 * signals
-        )
+        # Four float64 (B, S) extrema and two gathered (B, S) block rows;
+        # the row width is the signal count whatever the die count.
+        assert evaluator.batch_row_bytes() == 8 * 6 * signals
 
     def test_chunk_rows_divide_the_budget(self, monkeypatch):
         design = load_tiny(die_count=3, signal_count=8)

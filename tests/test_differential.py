@@ -11,13 +11,18 @@ Paths:
   the scalar per-candidate ``_cost`` gives, and a whole packer run must
   pick the same ``F_ref`` (orientations, positions, ``repr`` of the cost)
   after scoring the same number of candidates.
-* **Slotted HPWL** (``repro.floorplan.estimator``): ``hpwl``, every
+* **Block HPWL kernel** (``repro.floorplan.estimator``): ``hpwl``, every
   ``hpwl_batch`` row, ``signal_extents`` and both Eq. 2 lower bounds must
   equal a reference that locates each terminal through
   ``Orientation.apply``, takes Python ``min``/``max`` per signal and sums
   the ``(S,)`` spans with ``np.sum`` in signal order.  The packer's
-  ``[reduceat]`` runs also check every ``signal_extents`` call against the
-  segmented ``reduceat`` reduction the slot tables replaced.
+  ``[reduceat]`` runs also check every ``signal_extents`` call against a
+  segmented ``reduceat`` reduction, an earlier layout of the kernel.
+* **Incremental SA evaluation** (``repro.floorplan.incremental``): over
+  random walks of one-die moves, rotations, whole re-placements and
+  repeated proposals, every ``IncrementalHpwl.propose`` must equal the
+  full ``hpwl`` of the same arrays, which is what
+  ``REPRO_SA_FULL_EVAL=1`` scores.
 """
 
 import random
@@ -31,6 +36,7 @@ from repro.benchgen import generate_design, tiny_config
 from repro.floorplan import (
     BTreeSAConfig,
     FastHpwlEvaluator,
+    IncrementalHpwl,
     SAConfig,
     run_btree_sa,
     run_sa,
@@ -303,6 +309,8 @@ _CORPUS = [
     (5, "b", 8, "hotspot"),
     (6, "s", 9, "hotspot"),
     (6, "m", 10, "edge"),
+    (7, "s", 11, "hotspot"),
+    (8, "b", 12, "edge"),
 ]
 
 
@@ -399,8 +407,8 @@ def _corner_design() -> Design:
 
 
 class ReduceatExtents:
-    """The segmented layout the slot tables replaced: terminals flat in
-    signal order, reduced per signal by ``np.minimum.reduceat`` and
+    """An earlier layout of the HPWL kernel: terminals flat in signal
+    order, reduced per signal by ``np.minimum.reduceat`` and
     ``np.maximum.reduceat`` over the flattened batch.  An escape-only
     signal is an empty segment, which ``reduceat`` does not reduce to the
     identity, so each row gets a padded column and a sentinel start (every
@@ -459,15 +467,15 @@ class ReduceatExtents:
 
 @pytest.fixture(params=["slots", "reduceat"])
 def hpwl_layout(request, monkeypatch):
-    """Run on the slot tables alone, or with every ``signal_extents`` call
-    also checked ``==`` against :class:`ReduceatExtents`, the layout they
-    replaced."""
+    """Run on the evaluator's kernel alone (``slots``, named for the layout
+    the kernel once had), or with every ``signal_extents`` call also
+    checked ``==`` against :class:`ReduceatExtents`."""
     checked = []
     if request.param == "reduceat":
-        slotted = FastHpwlEvaluator.signal_extents
+        kernel = FastHpwlEvaluator.signal_extents
 
         def signal_extents(self, die_x, die_y, orient_codes):
-            got = slotted(self, die_x, die_y, orient_codes)
+            got = kernel(self, die_x, die_y, orient_codes)
             want = ReduceatExtents(self.design)(
                 np.asarray(die_x, dtype=np.float64),
                 np.asarray(die_y, dtype=np.float64),
@@ -563,7 +571,7 @@ class TestBatchedGreedy:
         assert packer.rows_checked == 5 * len(ALL_ORIENTATIONS)
 
 
-# -- slotted HPWL -------------------------------------------------------------
+# -- block HPWL kernel --------------------------------------------------------
 
 
 def _reference_points(design: Design, die_x, die_y, codes):
@@ -674,8 +682,8 @@ def assert_same_hpwl(design: Design, rows: int = 24, seed: int = 0) -> None:
 
 def _wide_design(dies: int = 8, singles: int = 12) -> Design:
     """One signal with a buffer on every die; every other signal carries
-    one buffer plus an escape.  Its slot width, ``(1 + singles) * dies``,
-    is over four times its ``dies + singles`` die terminals."""
+    one buffer plus an escape, so every block holds the wide signal and
+    most of a block's columns are NaN."""
     rng = random.Random(3)
     buffers: Dict[str, List[IOBuffer]] = {f"d{k}": [] for k in range(dies)}
 
@@ -779,10 +787,12 @@ class TestSlottedHpwl:
         assert_same_hpwl(make_escape_design(position))
 
     def test_wide_signal(self):
-        design = _wide_design()
-        terminals = sum(len(s.buffer_ids) for s in design.signals)
-        assert FastHpwlEvaluator(design)._slot_width > 4 * terminals
-        assert_same_hpwl(design)
+        assert_same_hpwl(_wide_design())
+
+    def test_all_escape_design(self):
+        """No die terminal at all: no block, so every extent is the
+        signal's escape point."""
+        assert_same_hpwl(_all_escape_design())
 
     @pytest.mark.parametrize(
         "runner,config",
@@ -805,3 +815,79 @@ class TestSlottedHpwl:
         assert result.found
         assert result.est_wl == 0.0
         assert result.stats.incremental_proposals > 0
+
+
+# -- incremental SA evaluation -------------------------------------------------
+
+
+def _random_state(rng: random.Random, n: int):
+    """Random die origins in ``[0, 8)`` and orientation codes."""
+    return (
+        np.array([rng.uniform(0.0, 8.0) for _ in range(n)]),
+        np.array([rng.uniform(0.0, 8.0) for _ in range(n)]),
+        np.array([rng.randrange(4) for _ in range(n)], dtype=np.int64),
+    )
+
+
+def assert_same_walk(
+    design: Design, seeds: Tuple[int, ...] = (0, 7, 23), steps: int = 200
+) -> None:
+    """Random accepted/rejected move sequences through
+    :class:`IncrementalHpwl`: every proposal must equal the full ``hpwl``
+    of the same arrays, the score ``REPRO_SA_FULL_EVAL=1`` uses."""
+    evaluator = FastHpwlEvaluator(design)
+    n = evaluator.die_count
+    for seed in seeds:
+        rng = random.Random(seed)
+        inc = IncrementalHpwl(evaluator, cross_check_every=0)
+        x, y, c = _random_state(rng, n)
+        for step in range(steps):
+            kind = rng.randrange(4)
+            if kind == 0:  # move one die -> one-die path
+                nx, ny, nc = x.copy(), y, c
+                nx[rng.randrange(n)] += rng.uniform(-1.0, 1.0)
+            elif kind == 1:  # rotate one die -> one-die path
+                nx, ny = x, y
+                nc = c.copy()
+                nc[rng.randrange(n)] = rng.randrange(4)
+            elif kind == 2:  # outline change -> full rescore
+                nx, ny, nc = _random_state(rng, n)
+            else:  # re-propose the same arrays -> identity path
+                nx, ny, nc = x, y, c
+            got = inc.propose(nx, ny, nc)
+            want = evaluator.hpwl(nx, ny, nc)
+            assert got == want, f"seed={seed} step={step}"
+            if rng.random() < 0.5:
+                inc.accept()
+                x, y, c = nx, ny, nc
+        assert inc.proposals == steps
+        assert 0.0 < inc.dirty_ratio <= 1.0
+
+
+class TestIncrementalWalk:
+    @pytest.mark.parametrize(
+        "dies,size,seed,placement",
+        _CORPUS,
+        ids=[f"{n}{size}-{seed}-{p}" for n, size, seed, p in _CORPUS],
+    )
+    def test_corpus(self, dies, size, seed, placement):
+        assert_same_walk(_corpus_design(dies, size, seed, placement))
+
+    def test_corner_signals(self):
+        """Die ``a`` holds two terminals of one signal, so it owns two
+        blocks and a one-die move of it rewrites two rows."""
+        design = _corner_design()
+        assert list(FastHpwlEvaluator(design)._block_die) == [0, 0, 1, 2]
+        assert_same_walk(design)
+
+    def test_wide_signal(self):
+        assert_same_walk(_wide_design())
+
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    def test_escape_only_signals(self, position):
+        from .test_batch_eval import make_escape_design
+
+        assert_same_walk(make_escape_design(position))
+
+    def test_all_escape_design(self):
+        assert_same_walk(_all_escape_design())

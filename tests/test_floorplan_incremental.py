@@ -140,7 +140,12 @@ class TestIncrementalUnit:
         x2[0] += 0.375
         got = inc.propose(x2, y, c)
         assert got == evaluator.hpwl(x2, y, c)
-        incident = inc._die_rows[0].size // 2
+        design = evaluator.design
+        moved = evaluator.die_ids[0]
+        incident = sum(
+            any(design.die_of_buffer(b) == moved for b in s.buffer_ids)
+            for s in design.signals
+        )
         assert 0 < incident <= evaluator.signal_count
         assert inc.dirty_signals == evaluator.signal_count + incident
         assert inc.full_rescores == 1  # only the priming one
@@ -158,34 +163,12 @@ class TestIncrementalUnit:
         assert inc.dirty_signals == evaluator.signal_count
 
     def test_random_walk_bit_identical_to_full(self, evaluator):
-        """Satellite (d) core: random accepted/rejected move sequences,
-        delta total == from-scratch total at every single step."""
-        n = evaluator.die_count
-        for seed in (0, 7, 23):
-            rng = random.Random(seed)
-            inc = IncrementalHpwl(evaluator, cross_check_every=0)
-            x, y, c = self._random_state(rng, n)
-            for step in range(200):
-                kind = rng.randrange(4)
-                if kind == 0:  # move one die -> subset path
-                    nx, ny, nc = x.copy(), y, c
-                    nx[rng.randrange(n)] += rng.uniform(-1.0, 1.0)
-                elif kind == 1:  # rotate one die -> subset path
-                    nx, ny = x, y
-                    nc = c.copy()
-                    nc[rng.randrange(n)] = rng.randrange(4)
-                elif kind == 2:  # outline change -> full rescore
-                    nx, ny, nc = self._random_state(rng, n)
-                else:  # re-propose the same arrays -> identity path
-                    nx, ny, nc = x, y, c
-                got = inc.propose(nx, ny, nc)
-                want = evaluator.hpwl(nx, ny, nc)
-                assert got == want, f"seed={seed} step={step}"
-                if rng.random() < 0.5:
-                    inc.accept()
-                    x, y, c = nx, ny, nc
-            assert inc.proposals == 200
-            assert 0.0 < inc.dirty_ratio <= 1.0
+        """Random accepted/rejected move sequences: delta total ==
+        from-scratch total at every single step.  The same walk runs over
+        the differential corpus in ``tests/test_differential.py``."""
+        from .test_differential import assert_same_walk
+
+        assert_same_walk(evaluator.design)
 
     def test_cross_check_cadence_counts(self, evaluator):
         inc = IncrementalHpwl(evaluator, cross_check_every=4)
