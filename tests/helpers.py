@@ -3,6 +3,7 @@
 import pytest
 
 from repro.geometry import Point, Rect
+from repro.io import expand_site_grid
 from repro.model import (
     Design,
     Die,
@@ -91,3 +92,15 @@ def assert_same_search(a, b):
         "certified_lower_bound",
     ):
         assert getattr(a.stats, field) == getattr(b.stats, field), field
+
+
+def explicit(data):
+    """Design dict ``data`` with every site grid written out as its
+    explicit list (``repro.io``'s list form), in place."""
+    fields = [(die, "bumps") for die in data["dies"]]
+    if isinstance(data.get("interposer"), dict):
+        fields.append((data["interposer"], "tsvs"))
+    for owner, key in fields:
+        if isinstance(owner[key], dict):
+            owner[key] = expand_site_grid(owner[key])
+    return data

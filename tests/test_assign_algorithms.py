@@ -146,12 +146,20 @@ class TestGreedyAssigner:
         )
 
     def test_greedy_is_fastest(self, case):
+        # Best of 3 runs per assigner: one preempted run on a loaded
+        # host must not decide the race.
         design, fp = case
-        greedy = GreedyAssigner().assign_with_stats(design, fp)
-        ori = MCMFAssigner(
-            MCMFAssignerConfig(window_matching=False)
-        ).assign_with_stats(design, fp)
-        assert greedy.runtime_s <= ori.runtime_s
+        greedy = min(
+            GreedyAssigner().assign_with_stats(design, fp).runtime_s
+            for _ in range(3)
+        )
+        ori = min(
+            MCMFAssigner(MCMFAssignerConfig(window_matching=False))
+            .assign_with_stats(design, fp)
+            .runtime_s
+            for _ in range(3)
+        )
+        assert greedy <= ori
 
 
 class TestBipartiteBaseline:

@@ -5,12 +5,15 @@ Two properties, each hammered with a fixed-seed stdlib ``random`` stream
 
 * every mutation drawn from a catalogue of *guaranteed-invalid* edits
   must produce at least one error-severity lint diagnostic — the linter
-  has no blind spots across the catalogue's span; and
+  has no blind spots across the catalogue's span — with the sites in
+  grid form and as explicit lists, and a grid lints with the codes of
+  its expansion; and
 * ``content_hash`` is invariant under dict key reordering and
   tuple/list substitution, so cache keys and dedupe handshakes cannot be
   defeated by representation noise.
 """
 
+import json
 import math
 import random
 
@@ -19,6 +22,7 @@ import pytest
 from repro.benchgen import load_tiny
 from repro.io import canonical_json, canonicalize, content_hash, design_to_dict
 from repro.validate import ERROR, lint_design
+from tests.helpers import explicit
 
 SEED = 0x25D1C
 ROUNDS = 100
@@ -31,6 +35,14 @@ def base():
 
 def errors_of(diagnostics):
     return [d for d in diagnostics if d.severity == ERROR]
+
+
+FORMS = ("grid", "list")
+
+
+def _tiny(form):
+    data = design_to_dict(load_tiny(die_count=3, signal_count=8))
+    return explicit(data) if form == "list" else data
 
 
 # --- mutation catalogue ----------------------------------------------------
@@ -113,14 +125,59 @@ def _mut_buffer_off_die(data, rng):
 
 
 def _mut_tsv_off_interposer(data, rng):
-    tsv = rng.choice(data["interposer"]["tsvs"])
-    tsv["position"] = {"x": -rng.uniform(1.0, 100.0), "y": 0.0}
+    tsvs = data["interposer"]["tsvs"]
+    if isinstance(tsvs, dict):
+        tsvs["x0"] = -rng.uniform(1.0, 100.0)
+    else:
+        tsv = rng.choice(tsvs)
+        tsv["position"] = {"x": -rng.uniform(1.0, 100.0), "y": 0.0}
     return "tsv-off-interposer"
 
 
 def _mut_drop_all_tsvs(data, rng):
     data["interposer"]["tsvs"] = []
     return "no-tsvs"
+
+
+# Grid mutators: each edits one site grid (a die's bumps or the
+# interposer's TSVs) of grid-form data.
+
+
+def _some_grid(data, rng):
+    sites = [die["bumps"] for die in data["dies"]]
+    if isinstance(data.get("interposer"), dict):
+        sites.append(data["interposer"]["tsvs"])
+    return rng.choice([grid for grid in sites if isinstance(grid, dict)])
+
+
+def _mut_grid_bad_count(data, rng):
+    grid = _some_grid(data, rng)
+    grid[rng.choice(["rows", "cols"])] = rng.choice(
+        [-1, -rng.randrange(2, 1000), 2.5, "3", None, True]
+    )
+    return "grid-bad-count"
+
+
+def _mut_grid_zero_pitch(data, rng):
+    _some_grid(data, rng)["pitch"] = rng.choice([0.0, -0.04, 0])
+    return "grid-zero-pitch"
+
+
+def _mut_grid_nan_origin(data, rng):
+    _some_grid(data, rng)[rng.choice(["x0", "y0"])] = math.nan
+    return "grid-nan-origin"
+
+
+def _mut_tsv_grid_past_edge(data, rng):
+    grid = data["interposer"]["tsvs"]
+    # Enough extra columns (or rows) that the last site crosses the far
+    # edge whatever the interposer's size.
+    key, span = rng.choice(
+        [("cols", data["interposer"]["width"]),
+         ("rows", data["interposer"]["height"])]
+    )
+    grid[key] += int(span / grid["pitch"]) + rng.randint(1, 5)
+    return "tsv-grid-past-edge"
 
 
 def _mut_non_numeric_field(data, rng):
@@ -149,36 +206,95 @@ MUTATORS = [
     _mut_non_numeric_field,
 ]
 
+GRID_MUTATORS = [
+    _mut_grid_bad_count,
+    _mut_grid_zero_pitch,
+    _mut_grid_nan_origin,
+    _mut_tsv_grid_past_edge,
+]
+
+
+def _catalogue(form):
+    return MUTATORS + GRID_MUTATORS if form == "grid" else MUTATORS
+
+
+def _mutate(data, rng, catalogue):
+    """Apply one mutator drawn from ``catalogue``, returning its tag.
+
+    A mutator whose target an earlier defect already removed (a dropped
+    section, an emptied TSV list) fails on its first lookup, before it
+    writes anything; another one is drawn then.
+    """
+    while True:
+        try:
+            return rng.choice(catalogue)(data, rng)
+        except (KeyError, IndexError, TypeError, ZeroDivisionError):
+            continue
+
+
+def _expandable(data):
+    """The fully explicit copy of ``data``, or None if a grid is broken
+    (a bad count or pitch has no expansion to compare with)."""
+    copy = json.loads(json.dumps(data))
+    try:
+        return explicit(copy)
+    except (KeyError, TypeError, ValueError):
+        return None
+
 
 class TestLinterFuzz:
     def test_every_mutation_is_rejected(self):
         rng = random.Random(SEED)
-        base = design_to_dict(load_tiny(die_count=3, signal_count=8))
-        assert errors_of(lint_design(base)) == []
-        for round_no in range(ROUNDS):
-            data = design_to_dict(load_tiny(die_count=3, signal_count=8))
-            # One to three independent defects per round: the linter must
-            # flag the design however the defects combine.
-            tags = [
-                rng.choice(MUTATORS)(data, rng)
-                for _ in range(rng.randint(1, 3))
-            ]
-            diags = errors_of(lint_design(data))
-            assert diags, (
-                f"round {round_no}: mutations {tags} produced no "
-                f"error diagnostics"
-            )
+        for form in FORMS:
+            assert errors_of(lint_design(_tiny(form))) == []
+            for round_no in range(ROUNDS):
+                data = _tiny(form)
+                # One to three independent defects per round: the linter
+                # must flag the design however the defects combine.
+                tags = [
+                    _mutate(data, rng, _catalogue(form))
+                    for _ in range(rng.randint(1, 3))
+                ]
+                diags = errors_of(lint_design(data))
+                assert diags, (
+                    f"{form} round {round_no}: mutations {tags} produced "
+                    f"no error diagnostics"
+                )
 
     def test_catalogue_is_individually_covered(self):
         # Each mutator on its own must be caught — not just in the
         # aggregate mix above (where another defect could mask a miss).
         rng = random.Random(SEED + 1)
-        for mut in MUTATORS:
-            data = design_to_dict(load_tiny(die_count=3, signal_count=8))
-            tag = mut(data, rng)
-            assert errors_of(lint_design(data)), (
-                f"mutator {tag} produced no error diagnostics"
+        for form in FORMS:
+            for mut in _catalogue(form):
+                data = _tiny(form)
+                tag = mut(data, rng)
+                assert errors_of(lint_design(data)), (
+                    f"{form} mutator {tag} produced no error diagnostics"
+                )
+
+    def test_grid_lints_like_its_expansion(self):
+        # Whenever every grid still expands, the grid form and the
+        # explicit form of one mutated design get the same codes.
+        rng = random.Random(SEED + 4)
+        compared = 0
+        for round_no in range(ROUNDS):
+            data = _tiny("grid")
+            tags = [
+                _mutate(data, rng, _catalogue("grid"))
+                for _ in range(rng.randint(1, 3))
+            ]
+            expanded = _expandable(data)
+            if expanded is None:
+                continue
+            compared += 1
+            grid_codes = {d.code for d in lint_design(data)}
+            list_codes = {d.code for d in lint_design(expanded)}
+            assert grid_codes == list_codes, (
+                f"round {round_no}: mutations {tags}: grid {grid_codes} "
+                f"vs list {list_codes}"
             )
+        assert compared >= ROUNDS // 2
 
 
 # --- canonical hash invariance --------------------------------------------
