@@ -31,7 +31,7 @@ from repro.benchgen import generate_design, suite_config
 from repro.assign import MCMFAssigner
 from repro.eval import total_wirelength
 from repro.flow import FlowConfig, run_flow
-from repro.model import Design, Signal
+from repro.model import Assignment, Design, Signal
 
 
 def _blind_design(design: Design) -> Design:
@@ -75,8 +75,10 @@ def _run_case(name):
     # Re-attach the escapes: keep the blind floorplan and bump assignment
     # verbatim, solve only the now-unavoidable TSV stage, and score with
     # the full Eq. 1 objective.
-    completed = MCMFAssigner().assign_tsvs_given_bumps(
-        design, blind.floorplan, blind.assignment.buffer_to_bump
+    completed = MCMFAssigner().assign_with_stats(
+        design,
+        blind.floorplan,
+        locked=Assignment(buffer_to_bump=blind.assignment.buffer_to_bump),
     )
     assert completed.complete
     wl_blind = total_wirelength(design, blind.floorplan, completed.assignment)

@@ -4,29 +4,21 @@ Solves the sub-SAPs in the same die-by-die (then TSV) order as the MCMF
 assigner, but within a sub-SAP it simply walks the buffers in listed order
 and gives each one the cheapest *still-unassigned* site under the Eq. 3
 cost.  No flow network, no global optimality: in the paper this runs ~4x
-faster than MCMF_fast but ends ~21% worse in TWL.  The MST topologies are
-updated between sub-SAPs exactly as in the MCMF assigner, so the comparison
-isolates the matching quality, not the bookkeeping.
+faster than MCMF_fast but ends ~21% worse in TWL.  The stages, the Eq. 3
+cost and the MST updates are the MCMF pipeline's own
+(:class:`~repro.assign.MCMFAssigner`), so the comparison isolates the
+matching quality, not the bookkeeping.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
-from ..geometry import Point
-from ..model import Assignment, Design, Floorplan, Terminal, TerminalKind
-from ..mst import SignalTopology, build_topologies
-from .base import (
-    AssignmentError,
-    AssignmentRunResult,
-    SubSapStats,
-    die_processing_order,
-)
-from .cost import far_terminal_weight
+from .base import AssignmentError, SubSapStats
+from .mcmf_assign import MCMFAssigner
 
 
 @dataclass
@@ -36,135 +28,36 @@ class GreedyAssignerConfig:
     die_order: str = "decreasing"
     order_seed: int = 0
 
+    @property
+    def name(self) -> str:
+        """Display name."""
+        return "Greedy"
 
-class GreedyAssigner:
+
+class GreedyAssigner(MCMFAssigner):
     """First-come, cheapest-site signal assignment."""
 
     def __init__(self, config: Optional[GreedyAssignerConfig] = None):
         self.config = config or GreedyAssignerConfig()
 
-    def assign(self, design: Design, floorplan: Floorplan) -> Assignment:
-        """Solve and return the assignment."""
-        return self.assign_with_stats(design, floorplan).assignment
+    def _budget_s(self) -> Optional[float]:
+        return None
 
-    def assign_with_stats(
-        self, design: Design, floorplan: Floorplan
-    ) -> AssignmentRunResult:
-        """Solve all sub-SAPs greedily and return result + statistics."""
-        start = time.monotonic()
-        assignment = Assignment()
-        topologies = build_topologies(design, floorplan)
-        sub_stats: List[SubSapStats] = []
-
-        for die_id in die_processing_order(
-            design, self.config.die_order, self.config.order_seed
-        ):
-            buffers = design.carrying_buffers(die_id)
-            if not buffers:
-                continue
-            die = design.die(die_id)
-            site_ids = [m.id for m in die.bumps]
-            site_pos = [floorplan.bump_position(m.id) for m in die.bumps]
-            sources = [
-                (
-                    (TerminalKind.BUFFER, b.id),
-                    floorplan.buffer_position(b.id),
-                    design.signal_of_buffer(b.id),
-                )
-                for b in buffers
-            ]
-            stats = self._solve_sub_sap(
-                die_id,
-                design,
-                sources,
-                site_ids,
-                site_pos,
-                design.weights.alpha,
-                topologies,
-                assignment.buffer_to_bump,
-                TerminalKind.BUMP,
-            )
-            sub_stats.append(stats)
-
-        escaping = design.escaping_signals()
-        if escaping:
-            site_ids = [t.id for t in design.interposer.tsvs]
-            site_pos = [t.position for t in design.interposer.tsvs]
-            sources = [
-                (
-                    (TerminalKind.ESCAPE, s.escape_id),
-                    design.escape(s.escape_id).position,
-                    s.id,
-                )
-                for s in escaping
-            ]
-            sub_stats.append(
-                self._solve_sub_sap(
-                    "interposer",
-                    design,
-                    sources,
-                    site_ids,
-                    site_pos,
-                    design.weights.gamma,
-                    topologies,
-                    assignment.escape_to_tsv,
-                    TerminalKind.TSV,
-                )
-            )
-
-        return AssignmentRunResult(
-            assignment,
-            "Greedy",
-            runtime_s=time.monotonic() - start,
-            sub_saps=sub_stats,
-        )
-
-    def _solve_sub_sap(
-        self,
-        scope: str,
-        design: Design,
-        sources: Sequence[Tuple[Tuple[str, str], Point, str]],
-        site_ids: Sequence[str],
-        site_pos: Sequence[Point],
-        leg_weight: float,
-        topologies: Dict[str, SignalTopology],
-        out_mapping: Dict[str, str],
-        site_kind: str,
-    ) -> SubSapStats:
-        sub_start = time.monotonic()
-        weights = design.weights
-        sx = np.asarray([p.x for p in site_pos])
-        sy = np.asarray([p.y for p in site_pos])
-        taken = np.zeros(len(site_ids), dtype=bool)
+    def _match(self, stage, weights, topologies, clock) -> SubSapStats:
+        """Each source in turn takes its cheapest free site."""
+        taken = np.zeros(len(stage.site_ids), dtype=bool)
         total_cost = 0.0
-
-        for key, pos, signal_id in sources:
+        for i in range(len(stage.source_ids)):
             if taken.all():
                 raise AssignmentError(
-                    f"greedy sub-SAP {scope!r} ran out of free sites"
+                    f"greedy sub-SAP {stage.scope!r} ran out of free sites"
                 )
-            topo = topologies[signal_id]
-            costs = leg_weight * (np.abs(sx - pos.x) + np.abs(sy - pos.y))
-            for far in topo.neighbors(key):
-                w = far_terminal_weight(far.kind, weights)
-                costs = costs + w * (
-                    np.abs(sx - far.position.x) + np.abs(sy - far.position.y)
-                )
+            costs = self._cost_row(stage, i, slice(None), weights, topologies)
             costs[taken] = np.inf
             pick = int(np.argmin(costs))
             taken[pick] = True
             total_cost += float(costs[pick])
-            out_mapping[key[1]] = site_ids[pick]
-            topo.rehome(
-                key,
-                Terminal(site_kind, site_ids[pick], site_pos[pick]),
-            )
-
-        return SubSapStats(
-            scope=scope,
-            demand=len(sources),
-            candidate_sites=len(site_ids),
-            edges=len(sources) * len(site_ids),
-            flow_cost=total_cost,
-            runtime_s=time.monotonic() - sub_start,
+            self._commit(stage, i, pick, topologies)
+        return stage.stats(
+            len(stage.source_ids) * len(stage.site_ids), total_cost
         )

@@ -1,4 +1,4 @@
-"""Network-flow-based signal assignment (Section 4).
+"""Network-flow-based signal assignment (Section 4): the sub-SAP pipeline.
 
 The SAP is decomposed into sub-problems: one per die (assigning each
 signal-carrying I/O buffer to a micro-bump of that die), solved in
@@ -17,18 +17,33 @@ Two variants match the paper's Table 3:
   t4m and timed out on the three biggest cases).
 * ``MCMF_fast`` (``window_matching=True``) — arcs only to the bumps inside
   each buffer's window (Section 4.2); ~9x faster in the paper at +0.1% TWL.
+
+:class:`MCMFAssigner` is the one pipeline every assigner runs: the stages
+(each die, then the interposer), the Eq. 3 cost rows, the window-retry
+flow loop, the budget clock, locked pairs and the result.  The baselines
+subclass it and change one step each: the greedy baseline
+(:mod:`repro.assign.greedy_assign`) swaps the matcher, and [5]
+(:mod:`repro.assign.bipartite`) keeps every far terminal at the signal's
+other buffer.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..geometry import Point
-from ..model import Assignment, Design, Floorplan, Terminal, TerminalKind
+from ..model import (
+    Assignment,
+    Design,
+    Floorplan,
+    Terminal,
+    TerminalKind,
+    Weights,
+)
 from ..mst import SignalTopology, build_topologies
 from ..obs import Progress, get_logger, metrics, span
 from .base import (
@@ -37,7 +52,7 @@ from .base import (
     SubSapStats,
     die_processing_order,
 )
-from .cost import assignment_cost, far_terminal_weight
+from .cost import far_terminal_weight
 from .ssp import min_cost_max_flow
 from .window import window_candidates
 
@@ -76,15 +91,45 @@ class _BudgetClock:
         return self._deadline is not None and time.monotonic() > self._deadline
 
 
+@dataclass
+class _Stage:
+    """One sub-SAP: give each source (buffer or escape) its own site."""
+
+    scope: str  # die id, or "interposer"
+    source_kind: str
+    site_kind: str
+    source_ids: List[str]
+    source_pos: List[Point]
+    source_signals: List[str]
+    site_ids: List[str]
+    site_pos: List[Point]
+    leg_weight: float  # alpha (buffer -> bump) or gamma (escape -> TSV)
+    pitch: float
+    out: Dict[str, str]  # the assignment map this stage fills
+    sx: np.ndarray = field(init=False)  # site coordinates as arrays
+    sy: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.sx = np.asarray([p.x for p in self.site_pos])
+        self.sy = np.asarray([p.y for p in self.site_pos])
+
+    def stats(self, edges: int, flow_cost: float, **work: int) -> SubSapStats:
+        """The stage's statistics row (runtime filled in by the caller)."""
+        return SubSapStats(
+            self.scope,
+            len(self.source_ids),
+            len(self.site_ids),
+            edges,
+            flow_cost,
+            **work,
+        )
+
+
 class MCMFAssigner:
     """The paper's network-flow-based signal assignment algorithm."""
 
     def __init__(self, config: Optional[MCMFAssignerConfig] = None):
         self.config = config or MCMFAssignerConfig()
-        self._locked_bumps: set = set()
-        self._locked_tsvs: set = set()
-        self._locked_buffers: set = set()
-        self._locked_escapes: set = set()
 
     # -- public API ---------------------------------------------------------
 
@@ -104,75 +149,100 @@ class MCMFAssigner:
         """Solve the SAP; ``locked`` pins pre-decided buffer->bump and
         escape->TSV pairs (pre-routed interfaces, power/ground bumps) —
         they are honored verbatim, their sites withdrawn from the pools,
-        and the MST topologies rehomed before any sub-SAP runs."""
-        cfg = self.config
-        clock = _BudgetClock(cfg.time_budget_s)
+        and the MST topologies rehomed before any sub-SAP runs.  Locking
+        every buffer leaves only the TSV sub-SAP to solve.
+
+        A sub-SAP that fails (budget, edge guard, too few sites) ends
+        the run with ``complete=False`` and a note; the stages solved
+        before it stay in the result."""
+        name = self.config.name
+        clock = _BudgetClock(self._budget_s())
         start = time.monotonic()
         assignment = Assignment()
         sub_stats: List[SubSapStats] = []
         topologies = build_topologies(design, floorplan)
-        self._locked_bumps: set = set()
-        self._locked_tsvs: set = set()
-        self._locked_buffers: set = set()
-        self._locked_escapes: set = set()
-        order = die_processing_order(design, cfg.die_order, cfg.order_seed)
-        # One heartbeat per solved sub-SAP (the per-die stages plus the
-        # final interposer/TSV stage).
-        progress = Progress(
-            cfg.name, total=len(order) + 1, unit="sub-SAPs", logger=logger
+        order = die_processing_order(
+            design, self.config.die_order, self.config.order_seed
         )
+        # One heartbeat per sub-SAP: the dies, then the interposer.
+        progress = Progress(
+            name, total=len(order) + 1, unit="sub-SAPs", logger=logger
+        )
+        complete, note = True, ""
         try:
             if locked is not None:
                 self._apply_locks(
                     design, floorplan, locked, assignment, topologies
                 )
-            for stage, die_id in enumerate(order):
-                stats = self._solve_die(
-                    design, floorplan, die_id, topologies, assignment, clock
-                )
-                if stats is not None:
+            for done, stage in enumerate(
+                self._stages(design, floorplan, order, assignment), 1
+            ):
+                if stage.source_ids:
+                    sub_start = time.monotonic()
+                    with span("assign.subsap") as sub_span:
+                        stats = self._match(
+                            stage, design.weights, topologies, clock
+                        )
+                        sub_span.annotate(scope=stage.scope)
+                    stats.runtime_s = time.monotonic() - sub_start
                     sub_stats.append(stats)
+                    logger.debug(
+                        "sub-SAP %s: %d sources over %d sites, %d arcs, "
+                        "%d augmenting paths, cost %.4f in %.3fs",
+                        stats.scope,
+                        stats.demand,
+                        stats.candidate_sites,
+                        stats.edges,
+                        stats.augmentations,
+                        stats.flow_cost,
+                        stats.runtime_s,
+                    )
                 progress.update(
-                    done=stage + 1,
-                    scope=die_id,
+                    done=done,
+                    scope=stage.scope,
                     arcs=sum(s.edges for s in sub_stats),
                     augmentations=sum(s.augmentations for s in sub_stats),
                 )
-            tsv_stats = self._solve_tsvs(
-                design, topologies, assignment, clock
-            )
-            if tsv_stats is not None:
-                sub_stats.append(tsv_stats)
-            progress.finish(
-                done=len(order) + 1,
-                arcs=sum(s.edges for s in sub_stats),
-                augmentations=sum(s.augmentations for s in sub_stats),
-            )
+            progress.finish()
         except AssignmentError as exc:
-            logger.warning("%s: assignment failed: %s", cfg.name, exc)
-            return AssignmentRunResult(
-                assignment,
-                cfg.name,
-                runtime_s=time.monotonic() - start,
-                sub_saps=sub_stats,
-                complete=False,
-                note=str(exc),
-            )
+            logger.warning("%s: assignment failed: %s", name, exc)
+            complete, note = False, str(exc)
         result = AssignmentRunResult(
             assignment,
-            cfg.name,
+            name,
             runtime_s=time.monotonic() - start,
             sub_saps=sub_stats,
+            complete=complete,
+            note=note,
         )
-        logger.info(
-            "%s: %d sub-SAPs, %d arcs, %d augmenting paths in %.3fs",
-            cfg.name,
-            len(sub_stats),
-            result.total_edges,
-            result.total_augmentations,
-            result.runtime_s,
-        )
+        if complete:
+            logger.info(
+                "%s: %d sub-SAPs, %d arcs, %d augmenting paths in %.3fs",
+                name,
+                len(sub_stats),
+                result.total_edges,
+                result.total_augmentations,
+                result.runtime_s,
+            )
         return result
+
+    # -- what a variant may change --------------------------------------------
+
+    def _budget_s(self) -> Optional[float]:
+        return self.config.time_budget_s
+
+    def _edge_limit(self) -> Optional[int]:
+        return self.config.max_edges_per_sub_sap
+
+    def _far_weight(self, kind: str, weights: Weights) -> float:
+        """Eq. 4's weight for a leg from a site to a far terminal."""
+        return far_terminal_weight(kind, weights)
+
+    def _rehome(self, topology: SignalTopology, key, terminal: Terminal):
+        """Split the signal's MST edges at ``key`` onto ``terminal``."""
+        topology.rehome(key, terminal)
+
+    # -- the pipeline ---------------------------------------------------------
 
     def _apply_locks(
         self,
@@ -183,8 +253,10 @@ class MCMFAssigner:
         topologies: Dict[str, SignalTopology],
     ) -> None:
         """Validate and bake a partial assignment into the run state."""
+        bumps, tsvs = set(), set()
         for buffer_id, bump_id in locked.buffer_to_bump.items():
-            if design.signal_of_buffer(buffer_id) is None:
+            signal_id = design.signal_of_buffer(buffer_id)
+            if signal_id is None:
                 raise AssignmentError(
                     f"locked buffer {buffer_id!r} carries no signal"
                 )
@@ -198,13 +270,12 @@ class MCMFAssigner:
                 raise AssignmentError(
                     f"locked pair {buffer_id!r} -> {bump_id!r} crosses dies"
                 )
-            if bump_id in self._locked_bumps:
+            if bump_id in bumps:
                 raise AssignmentError(f"bump {bump_id!r} locked twice")
+            bumps.add(bump_id)
             assignment.buffer_to_bump[buffer_id] = bump_id
-            self._locked_buffers.add(buffer_id)
-            self._locked_bumps.add(bump_id)
-            signal_id = design.signal_of_buffer(buffer_id)
-            topologies[signal_id].rehome(
+            self._rehome(
+                topologies[signal_id],
                 (TerminalKind.BUFFER, buffer_id),
                 Terminal(
                     TerminalKind.BUMP,
@@ -217,345 +288,205 @@ class MCMFAssigner:
                 raise AssignmentError(f"unknown locked escape {escape_id!r}")
             if not design.interposer.has_tsv(tsv_id):
                 raise AssignmentError(f"unknown locked TSV {tsv_id!r}")
-            if tsv_id in self._locked_tsvs:
+            if tsv_id in tsvs:
                 raise AssignmentError(f"TSV {tsv_id!r} locked twice")
+            tsvs.add(tsv_id)
             assignment.escape_to_tsv[escape_id] = tsv_id
-            self._locked_escapes.add(escape_id)
-            self._locked_tsvs.add(tsv_id)
-            signal_id = design.package.escape(escape_id).signal_id
-            topologies[signal_id].rehome(
+            self._rehome(
+                topologies[design.package.escape(escape_id).signal_id],
                 (TerminalKind.ESCAPE, escape_id),
                 Terminal(
-                    TerminalKind.TSV,
-                    tsv_id,
-                    design.tsv(tsv_id).position,
+                    TerminalKind.TSV, tsv_id, design.tsv(tsv_id).position
                 ),
             )
 
-    def assign_tsvs_given_bumps(
+    def _stages(
         self,
         design: Design,
         floorplan: Floorplan,
-        buffer_to_bump: Dict[str, str],
-    ) -> AssignmentRunResult:
-        """Solve only the TSV sub-SAP on top of a given bump assignment.
-
-        Rehomes every signal's buffer terminals onto the supplied bumps
-        (exactly as the per-die stages would have) and then runs the
-        interposer stage.  Used by the Fig. 1 benchmark to complete a
-        'PCB-blind' bump assignment without re-deciding it.
-        """
-        cfg = self.config
-        clock = _BudgetClock(cfg.time_budget_s)
-        start = time.monotonic()
-        self._locked_bumps = set()
-        self._locked_tsvs = set()
-        self._locked_buffers = set()
-        self._locked_escapes = set()
-        assignment = Assignment(buffer_to_bump=dict(buffer_to_bump))
-        topologies = build_topologies(design, floorplan)
-        for signal in design.signals:
-            for buffer_id in signal.buffer_ids:
-                bump_id = buffer_to_bump.get(buffer_id)
-                if bump_id is None:
-                    raise AssignmentError(
-                        f"buffer {buffer_id!r} missing from preset bumps"
-                    )
-                topologies[signal.id].rehome(
-                    (TerminalKind.BUFFER, buffer_id),
-                    Terminal(
-                        TerminalKind.BUMP,
-                        bump_id,
-                        floorplan.bump_position(bump_id),
-                    ),
-                )
-        sub_stats: List[SubSapStats] = []
-        try:
-            tsv_stats = self._solve_tsvs(design, topologies, assignment, clock)
-            if tsv_stats is not None:
-                sub_stats.append(tsv_stats)
-        except AssignmentError as exc:
-            return AssignmentRunResult(
-                assignment,
-                cfg.name,
-                runtime_s=time.monotonic() - start,
-                sub_saps=sub_stats,
-                complete=False,
-                note=str(exc),
-            )
-        return AssignmentRunResult(
-            assignment,
-            cfg.name,
-            runtime_s=time.monotonic() - start,
-            sub_saps=sub_stats,
-        )
-
-    # -- sub-SAP solving -------------------------------------------------------
-
-    def _solve_die(
-        self,
-        design: Design,
-        floorplan: Floorplan,
-        die_id: str,
-        topologies: Dict[str, SignalTopology],
+        order: Sequence[str],
         assignment: Assignment,
-        clock: _BudgetClock,
-    ) -> Optional[SubSapStats]:
-        buffers = [
-            b
-            for b in design.carrying_buffers(die_id)
-            if b.id not in self._locked_buffers
-        ]
-        if not buffers:
-            return None
-        die = design.die(die_id)
-        source_keys = [(TerminalKind.BUFFER, b.id) for b in buffers]
-        source_pos = [floorplan.buffer_position(b.id) for b in buffers]
-        source_signals = [design.signal_of_buffer(b.id) for b in buffers]
-        free_bumps = [
-            m for m in die.bumps if m.id not in self._locked_bumps
-        ]
-        site_ids = [m.id for m in free_bumps]
-        site_pos = [floorplan.bump_position(m.id) for m in free_bumps]
-
-        mapping, stats = self._solve_generic(
-            scope=die_id,
-            design=design,
-            source_keys=source_keys,
-            source_pos=source_pos,
-            source_signals=source_signals,
-            site_ids=site_ids,
-            site_pos=site_pos,
-            leg_weight=design.weights.alpha,
-            pitch=die.bump_pitch,
-            topologies=topologies,
-            clock=clock,
-        )
-        for i, site_idx in mapping.items():
-            buffer_id = buffers[i].id
-            bump_id = site_ids[site_idx]
-            assignment.buffer_to_bump[buffer_id] = bump_id
-            topologies[source_signals[i]].rehome(
-                (TerminalKind.BUFFER, buffer_id),
-                Terminal(TerminalKind.BUMP, bump_id, site_pos[site_idx]),
+    ) -> Iterator[_Stage]:
+        """Each die in ``order``, then the interposer, each built when the
+        run reaches it.  Sources and sites already in ``assignment``
+        (locked, or taken by an earlier stage) are left out, and a stage
+        with no sources lists no sites."""
+        taken = set(assignment.buffer_to_bump.values())
+        for die_id in order:
+            die = design.die(die_id)
+            buffers = [
+                b.id
+                for b in design.carrying_buffers(die_id)
+                if b.id not in assignment.buffer_to_bump
+            ]
+            bumps = (
+                [m.id for m in die.bumps if m.id not in taken]
+                if buffers
+                else []
             )
-        return stats
-
-    def _solve_tsvs(
-        self,
-        design: Design,
-        topologies: Dict[str, SignalTopology],
-        assignment: Assignment,
-        clock: _BudgetClock,
-    ) -> Optional[SubSapStats]:
+            yield _Stage(
+                scope=die_id,
+                source_kind=TerminalKind.BUFFER,
+                site_kind=TerminalKind.BUMP,
+                source_ids=buffers,
+                source_pos=[floorplan.buffer_position(b) for b in buffers],
+                source_signals=[design.signal_of_buffer(b) for b in buffers],
+                site_ids=bumps,
+                site_pos=[floorplan.bump_position(m) for m in bumps],
+                leg_weight=design.weights.alpha,
+                pitch=die.bump_pitch,
+                out=assignment.buffer_to_bump,
+            )
+        taken = set(assignment.escape_to_tsv.values())
         escaping = [
             s
             for s in design.escaping_signals()
-            if s.escape_id not in self._locked_escapes
+            if s.escape_id not in assignment.escape_to_tsv
         ]
-        if not escaping:
-            return None
-        source_keys = [(TerminalKind.ESCAPE, s.escape_id) for s in escaping]
-        source_pos = [design.escape(s.escape_id).position for s in escaping]
-        source_signals = [s.id for s in escaping]
-        free_tsvs = [
-            t
-            for t in design.interposer.tsvs
-            if t.id not in self._locked_tsvs
-        ]
-        site_ids = [t.id for t in free_tsvs]
-        site_pos = [t.position for t in free_tsvs]
-
-        mapping, stats = self._solve_generic(
+        tsvs = (
+            [t for t in design.interposer.tsvs if t.id not in taken]
+            if escaping
+            else []
+        )
+        yield _Stage(
             scope="interposer",
-            design=design,
-            source_keys=source_keys,
-            source_pos=source_pos,
-            source_signals=source_signals,
-            site_ids=site_ids,
-            site_pos=site_pos,
+            source_kind=TerminalKind.ESCAPE,
+            site_kind=TerminalKind.TSV,
+            source_ids=[s.escape_id for s in escaping],
+            source_pos=[design.escape(s.escape_id).position for s in escaping],
+            source_signals=[s.id for s in escaping],
+            site_ids=[t.id for t in tsvs],
+            site_pos=[t.position for t in tsvs],
             leg_weight=design.weights.gamma,
             pitch=design.interposer.tsv_pitch,
-            topologies=topologies,
-            clock=clock,
+            out=assignment.escape_to_tsv,
         )
-        for i, site_idx in mapping.items():
-            escape_id = escaping[i].escape_id
-            tsv_id = site_ids[site_idx]
-            assignment.escape_to_tsv[escape_id] = tsv_id
-            topologies[source_signals[i]].rehome(
-                (TerminalKind.ESCAPE, escape_id),
-                Terminal(TerminalKind.TSV, tsv_id, site_pos[site_idx]),
-            )
-        return stats
 
-    def _solve_generic(
+    def _cost_row(
         self,
-        scope: str,
-        design: Design,
-        source_keys: Sequence[Tuple[str, str]],
-        source_pos: Sequence[Point],
-        source_signals: Sequence[str],
-        site_ids: Sequence[str],
-        site_pos: Sequence[Point],
-        leg_weight: float,
-        pitch: float,
+        stage: _Stage,
+        i: int,
+        sites: Union[np.ndarray, slice],
+        weights: Weights,
+        topologies: Dict[str, SignalTopology],
+    ) -> np.ndarray:
+        """Eq. 3 for source ``i`` over the ``sites`` it may take."""
+        sx, sy = stage.sx[sites], stage.sy[sites]
+        pos = stage.source_pos[i]
+        cost = stage.leg_weight * (np.abs(sx - pos.x) + np.abs(sy - pos.y))
+        key = (stage.source_kind, stage.source_ids[i])
+        for far in topologies[stage.source_signals[i]].neighbors(key):
+            cost = cost + self._far_weight(far.kind, weights) * (
+                np.abs(sx - far.position.x) + np.abs(sy - far.position.y)
+            )
+        return cost
+
+    def _commit(
+        self,
+        stage: _Stage,
+        i: int,
+        j: int,
+        topologies: Dict[str, SignalTopology],
+    ) -> None:
+        """Give source ``i`` site ``j`` and move its terminal there."""
+        stage.out[stage.source_ids[i]] = stage.site_ids[j]
+        self._rehome(
+            topologies[stage.source_signals[i]],
+            (stage.source_kind, stage.source_ids[i]),
+            Terminal(stage.site_kind, stage.site_ids[j], stage.site_pos[j]),
+        )
+
+    def _match(
+        self,
+        stage: _Stage,
+        weights: Weights,
         topologies: Dict[str, SignalTopology],
         clock: _BudgetClock,
-    ) -> Tuple[Dict[int, int], SubSapStats]:
-        """Solve one sub-SAP; returns {source index -> site index}."""
+    ) -> SubSapStats:
+        """Min-cost flow over the stage, retried with wider windows while
+        some source goes unserved; commits the matching."""
         cfg = self.config
-        sub_start = time.monotonic()
-        n_sources = len(source_keys)
-        retries = 0
-        augmentations = 0
-        nodes_settled = 0
-        with span("assign.subsap") as sub_span:
-            while True:
-                if clock.expired():
-                    raise AssignmentError(
-                        f"time budget exceeded before sub-SAP {scope!r}"
-                    )
-                metrics.counter("assign.window.iterations").inc()
-                if cfg.window_matching:
-                    candidates, _ = window_candidates(
-                        source_pos,
-                        site_pos,
-                        pitch,
-                        slack=cfg.window_slack,
-                        extra_growth=retries,
-                    )
-                else:
-                    all_sites = np.arange(len(site_ids))
-                    candidates = [all_sites] * n_sources
-
-                edge_total = sum(len(c) for c in candidates)
-                if (
-                    cfg.max_edges_per_sub_sap is not None
-                    and edge_total > cfg.max_edges_per_sub_sap
-                ):
-                    raise AssignmentError(
-                        f"sub-SAP {scope!r} needs {edge_total} arcs, above "
-                        f"the configured limit {cfg.max_edges_per_sub_sap} "
-                        "(the paper's MCMF_ori ran out of memory the "
-                        "same way)"
-                    )
-
-                mapping, result = self._run_flow(
-                    design,
-                    source_keys,
-                    source_pos,
-                    source_signals,
-                    site_pos,
-                    candidates,
-                    leg_weight,
-                    topologies,
-                    clock,
+        scope, n_sources = stage.scope, len(stage.source_ids)
+        if not stage.site_ids:
+            raise AssignmentError(f"sub-SAP {scope!r} has no free site")
+        edge_limit = self._edge_limit()
+        retries = augmentations = nodes_settled = 0
+        while True:
+            if clock.expired():
+                raise AssignmentError(
+                    f"time budget exceeded before sub-SAP {scope!r}"
                 )
-                augmentations += result.augmentations
-                nodes_settled += result.settled
-                metrics.counter("assign.mcmf.runs").inc()
-                metrics.counter("assign.mcmf.augmenting_paths").inc(
-                    result.augmentations
+            metrics.counter("assign.window.iterations").inc()
+            if cfg.window_matching:
+                candidates, _ = window_candidates(
+                    stage.source_pos,
+                    stage.site_pos,
+                    stage.pitch,
+                    slack=cfg.window_slack,
+                    extra_growth=retries,
                 )
-                metrics.counter("assign.mcmf.nodes_settled").inc(
-                    result.settled
+            else:
+                candidates = [np.arange(len(stage.site_ids))] * n_sources
+            edges = sum(len(c) for c in candidates)
+            if edge_limit is not None and edges > edge_limit:
+                raise AssignmentError(
+                    f"sub-SAP {scope!r} needs {edges} arcs (matching edges), "
+                    f"above the configured limit {edge_limit} (the paper's "
+                    "MCMF_ori and [5] ran out of memory the same way)"
                 )
-                if result.flow == n_sources:
-                    stats = SubSapStats(
-                        scope=scope,
-                        demand=n_sources,
-                        candidate_sites=len(site_ids),
-                        edges=edge_total,
-                        flow_cost=result.cost,
-                        runtime_s=time.monotonic() - sub_start,
-                        window_retries=retries,
-                        augmentations=augmentations,
-                        nodes_settled=nodes_settled,
-                    )
-                    sub_span.annotate(scope=scope)
-                    logger.debug(
-                        "sub-SAP %s: %d sources over %d sites, %d arcs, "
-                        "%d augmenting paths, cost %.4f in %.3fs",
-                        scope,
-                        n_sources,
-                        len(site_ids),
-                        edge_total,
-                        augmentations,
-                        result.cost,
-                        stats.runtime_s,
-                    )
-                    return mapping, stats
-                if clock.expired():
-                    raise AssignmentError(
-                        f"time budget exceeded inside sub-SAP {scope!r}"
-                    )
-                if not cfg.window_matching:
-                    raise AssignmentError(
-                        f"sub-SAP {scope!r} infeasible: only {result.flow} "
-                        f"of {n_sources} sources served"
-                    )
-                retries += 1
-                metrics.counter("assign.window.retries").inc()
-                if retries > cfg.max_window_retries:
-                    raise AssignmentError(
-                        f"sub-SAP {scope!r} still infeasible after "
-                        f"{cfg.max_window_retries} window expansions"
-                    )
-                logger.warning(
-                    "sub-SAP %s: only %d of %d sources served; expanding "
-                    "windows (retry %d/%d)",
-                    scope,
-                    int(result.flow),
-                    n_sources,
-                    retries,
-                    cfg.max_window_retries,
+            costs = [
+                self._cost_row(stage, i, c, weights, topologies)
+                for i, c in enumerate(candidates)
+            ]
+            offsets = np.zeros(n_sources + 1, dtype=np.int64)
+            np.cumsum([len(c) for c in candidates], out=offsets[1:])
+            with span("assign.mcmf"):
+                result = min_cost_max_flow(
+                    np.concatenate(candidates),
+                    np.concatenate(costs),
+                    offsets,
+                    flow_limit=n_sources,
+                    should_abort=clock.expired,
                 )
-
-    def _run_flow(
-        self,
-        design: Design,
-        source_keys: Sequence[Tuple[str, str]],
-        source_pos: Sequence[Point],
-        source_signals: Sequence[str],
-        site_pos: Sequence[Point],
-        candidates: Sequence[np.ndarray],
-        leg_weight: float,
-        topologies: Dict[str, SignalTopology],
-        clock: _BudgetClock,
-    ):
-        """Cost and solve the flow network for one sub-SAP attempt."""
-        weights = design.weights
-        sx = np.asarray([p.x for p in site_pos])
-        sy = np.asarray([p.y for p in site_pos])
-
-        costs: List[np.ndarray] = []
-        for i, key in enumerate(source_keys):
-            cand = candidates[i]
-            # Vectorized Eq. 3 over this source's candidate sites.
-            cost = leg_weight * (
-                np.abs(sx[cand] - source_pos[i].x)
-                + np.abs(sy[cand] - source_pos[i].y)
+            augmentations += result.augmentations
+            nodes_settled += result.settled
+            metrics.counter("assign.mcmf.runs").inc()
+            metrics.counter("assign.mcmf.augmenting_paths").inc(
+                result.augmentations
             )
-            for t in topologies[source_signals[i]].neighbors(key):
-                w = far_terminal_weight(t.kind, weights)
-                cost = cost + w * (
-                    np.abs(sx[cand] - t.position.x)
-                    + np.abs(sy[cand] - t.position.y)
+            metrics.counter("assign.mcmf.nodes_settled").inc(result.settled)
+            if result.flow == n_sources:
+                for i, j in enumerate(result.match):
+                    self._commit(stage, i, int(j), topologies)
+                return stage.stats(
+                    edges,
+                    result.cost,
+                    window_retries=retries,
+                    augmentations=augmentations,
+                    nodes_settled=nodes_settled,
                 )
-            costs.append(cost)
-        offsets = np.zeros(len(candidates) + 1, dtype=np.int64)
-        np.cumsum([len(c) for c in candidates], out=offsets[1:])
-
-        with span("assign.mcmf"):
-            result = min_cost_max_flow(
-                np.concatenate(candidates),
-                np.concatenate(costs),
-                offsets,
-                flow_limit=len(source_keys),
-                should_abort=clock.expired,
+            if clock.expired():
+                raise AssignmentError(
+                    f"time budget exceeded inside sub-SAP {scope!r}"
+                )
+            if not cfg.window_matching:
+                raise AssignmentError(
+                    f"sub-SAP {scope!r} infeasible: only {result.flow} "
+                    f"of {n_sources} sources served"
+                )
+            retries += 1
+            metrics.counter("assign.window.retries").inc()
+            if retries > cfg.max_window_retries:
+                raise AssignmentError(
+                    f"sub-SAP {scope!r} still infeasible after "
+                    f"{cfg.max_window_retries} window expansions"
+                )
+            logger.warning(
+                "sub-SAP %s: only %d of %d sources served; expanding "
+                "windows (retry %d/%d)",
+                scope,
+                int(result.flow),
+                n_sources,
+                retries,
+                cfg.max_window_retries,
             )
-        mapping = {
-            i: int(j) for i, j in enumerate(result.match) if j >= 0
-        }
-        return mapping, result

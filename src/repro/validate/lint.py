@@ -138,8 +138,16 @@ def _is_num(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _float(value: Any) -> float:
+    """``float(value)``, reading an int past the double range as +-inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _finite(value: Any) -> bool:
-    return _is_num(value) and math.isfinite(float(value))
+    return _is_num(value) and math.isfinite(_float(value))
 
 
 def _check_number(
@@ -157,13 +165,15 @@ def _check_number(
             f"expected a number, got {type(value).__name__}",
         )
         return None
-    if not math.isfinite(float(value)):
+    val = _float(value)
+    if not math.isfinite(val):
         out.error(
             "geometry.nonfinite", where,
-            f"non-finite value {value!r}",
+            f"non-finite value {val!r}"
+            if isinstance(value, float)
+            else f"a {value.bit_length()}-bit integer overflows a double",
         )
         return None
-    val = float(value)
     if positive and val <= 0.0:
         out.error(
             "geometry.nonpositive", where,

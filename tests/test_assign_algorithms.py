@@ -1,4 +1,4 @@
-"""Integration-grade tests for the three signal assignment algorithms."""
+"""Integration-grade tests for the four signal assignment algorithms."""
 
 import hashlib
 import json
@@ -13,10 +13,12 @@ from repro.assign import (
     GreedyAssigner,
     MCMFAssigner,
     MCMFAssignerConfig,
+    die_processing_order,
 )
 from repro.benchgen import load_case, load_tiny, tiny_config, generate_design
 from repro.eval import total_wirelength
 from repro.floorplan import EFAConfig, run_efa, run_efa_mix
+from repro.model import Assignment
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +249,7 @@ _GOLDEN_ASSIGNERS = {
     "[5]+window": lambda: BipartiteAssigner(
         BipartiteAssignerConfig(window_matching=True)
     ),
+    "Greedy": GreedyAssigner,
 }
 
 # SubSapStats fields pinned per sub-SAP, in order (all but runtime_s).
@@ -332,6 +335,59 @@ _GOLDEN = {
             ("d3", 27, 520, 141, 10.413225250009406, 0),
         ],
     ),
+    ("tiny3", "Greedy"): (
+        7.327876696175116,
+        "da11f923de2ea2d4088096c67e61e897762badd158ad51a1fbd38257af56cc61",
+        [
+            ("d1", 8, 44, 352, 4.5450544232450145, 0, 0, 0),
+            ("d2", 7, 45, 315, 2.6792919559352333, 0, 0, 0),
+            ("d3", 7, 54, 378, 2.894213372192519, 0, 0, 0),
+            ("interposer", 1, 30, 30, 1.5280536520288819, 0, 0, 0),
+        ],
+    ),
+    ("tiny4", "Greedy"): (
+        17.961195461622246,
+        "a1c914a1f58f4b87aaacab37151bda079a11f13e548af600781c0c1c4f01ed9a",
+        [
+            ("d4", 9, 35, 315, 5.719244640872814, 0, 0, 0),
+            ("d3", 8, 42, 336, 5.172191089890854, 0, 0, 0),
+            ("d2", 7, 36, 252, 6.444064835592994, 0, 0, 0),
+            ("d1", 5, 30, 150, 4.599849609837509, 0, 0, 0),
+            ("interposer", 7, 30, 210, 10.165636172719081, 0, 0, 0),
+        ],
+    ),
+    ("t4s", "Greedy"): (
+        142.63185631612458,
+        "63ed7035c25dc3c74fcefdc0e3c88b586e77a44ff48d76fa6fe28364136472b9",
+        [
+            ("d4", 42, 650, 27300, 44.29155949067889, 0, 0, 0),
+            ("d1", 38, 504, 19152, 47.844360074760836, 0, 0, 0),
+            ("d2", 37, 576, 21312, 41.47554201504591, 0, 0, 0),
+            ("d3", 33, 520, 17160, 38.743506031585305, 0, 0, 0),
+            ("interposer", 45, 132, 5940, 96.10070914192117, 0, 0, 0),
+        ],
+    ),
+    ("t4m", "Greedy"): (
+        262.84974728338454,
+        "bd6d30d54b62b8f6ab826bd8ab52c6fb1e188cbe72fb325abace5ce3073e1fc0",
+        [
+            ("d3", 101, 891, 89991, 97.01150203753815, 0, 0, 0),
+            ("d2", 94, 1190, 111860, 91.63522965468039, 0, 0, 0),
+            ("d1", 91, 875, 79625, 86.03583762710886, 0, 0, 0),
+            ("d4", 90, 1023, 92070, 80.57812777739332, 0, 0, 0),
+            ("interposer", 40, 238, 9520, 105.25083968139735, 0, 0, 0),
+        ],
+    ),
+    ("t4s'", "Greedy"): (
+        25.156978088332934,
+        "289142becd1a4b5e117001249e4ad6cf8097049c289a3524380c3a2a3f2efb87",
+        [
+            ("d1", 31, 504, 15624, 11.265615150513716, 0, 0, 0),
+            ("d2", 31, 576, 17856, 10.700640370924415, 0, 0, 0),
+            ("d4", 31, 650, 20150, 11.445668636916935, 0, 0, 0),
+            ("d3", 27, 520, 14040, 9.829508322994029, 0, 0, 0),
+        ],
+    ),
 }
 
 
@@ -363,7 +419,8 @@ class TestAssignGolden:
     Literals, not cross-run comparisons: a change to the sub-SAP solver
     cannot move one matching, one Eq. 3 cost (compared with ``==``) or
     one augmenting-path count without failing here.  The [5] rows pin
-    the matching and its cost only.
+    the matching and its cost only; the greedy rows pin that it reports
+    no flow work.
     """
 
     @pytest.mark.parametrize(
@@ -398,3 +455,55 @@ class TestAssignGolden:
             s.demand for s in result.sub_saps
         ]
         assert [s.nodes_settled for s in result.sub_saps] == settled
+
+    @pytest.mark.parametrize("design_name", ["tiny4", "t4s", "t4m"])
+    def test_tsv_only_completion(self, golden_case, design_name):
+        """Locking every bump of MCMF_fast's answer leaves only the TSV
+        sub-SAP, and it completes the run to MCMF_fast's own answer (the
+        Fig. 1 bench's completion of a PCB-blind bump assignment)."""
+        design, fp = golden_case(design_name)
+        bumps = MCMFAssigner().assign(design, fp).buffer_to_bump
+        result = MCMFAssigner().assign_with_stats(
+            design, fp, locked=Assignment(buffer_to_bump=dict(bumps))
+        )
+        twl, digest, rows = _GOLDEN[design_name, "MCMF_fast"]
+        assert result.complete
+        assert total_wirelength(design, fp, result.assignment).total == twl
+        assert _assignment_digest(result.assignment) == digest
+        assert [
+            tuple(asdict(s)[f] for f in _GOLDEN_FIELDS)
+            for s in result.sub_saps
+        ] == rows[-1:]
+
+
+class TestFailureContract:
+    """Every assigner reports a sub-SAP that runs out of sites the same
+    way: an incomplete result naming the sub-SAP, holding the stages
+    solved before it; ``assign`` raises."""
+
+    @pytest.fixture(scope="class", params=["one-short", "no-bumps"])
+    def short_die(self, request):
+        # Built without lint: the die processed last keeps one bump fewer
+        # than it has signal-carrying buffers, or none at all.
+        design = generate_design(
+            tiny_config(die_count=3, signal_count=12).primed()
+        )
+        fp = run_efa(design, EFAConfig(illegal_cut=True)).floorplan
+        die_id = die_processing_order(design)[-1]
+        die = design.die(die_id)
+        keep = len(design.carrying_buffers(die_id)) - 1
+        die.bumps = die.bumps[: keep if request.param == "one-short" else 0]
+        die.reindex()
+        return design, fp, die_id
+
+    @pytest.mark.parametrize("assigner", sorted(_GOLDEN_ASSIGNERS))
+    def test_short_die_is_incomplete(self, short_die, assigner):
+        design, fp, die_id = short_die
+        result = _GOLDEN_ASSIGNERS[assigner]().assign_with_stats(design, fp)
+        assert not result.complete
+        assert repr(die_id) in result.note
+        assert [s.scope for s in result.sub_saps] == [
+            d for d in die_processing_order(design) if d != die_id
+        ]
+        with pytest.raises(AssignmentError):
+            _GOLDEN_ASSIGNERS[assigner]().assign(design, fp)

@@ -155,6 +155,19 @@ class TestMalformedRequests:
         )
         assert any(d["code"] == "fit.die-oversize" for d in diags)
 
+    def test_int_past_double_range_is_400(self, client, design):
+        # float() overflows on these ints; the linter must report them,
+        # so the server answers 400 instead of a 500 traceback.
+        bad = design_to_dict(design)
+        bad["dies"][0]["width"] = 10**400
+        bad["interposer"]["tsvs"]["x0"] = -(10**400)
+        with pytest.raises(ServiceError) as err:
+            client.submit(bad)
+        assert err.value.status == 400
+        found = {(d["code"], d["where"]) for d in err.value.diagnostics}
+        assert ("geometry.nonfinite", "dies[d1].width") in found
+        assert ("geometry.nonfinite", "interposer.tsvs.x0") in found
+
     def test_corrupt_result_on_disk_is_500_json(self, service, client):
         small = load_tiny(die_count=3, signal_count=6)
         view = client.submit(design_to_dict(small))

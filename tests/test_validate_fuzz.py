@@ -188,6 +188,56 @@ def _mut_non_numeric_field(data, rng):
     return "non-numeric-field"
 
 
+# An int past the double range: ``float()`` raises OverflowError on it.
+HUGE_INT = 10**400
+
+
+def _numeric_fields(data):
+    """``(holder, key, where)`` for every kind of numeric field: the
+    weights, the spacing, the interposer and die sizes and pitches, the
+    package frame, one position of each point kind and, for a grid, its
+    ``x0``/``y0``/``pitch``."""
+    inter, die = data["interposer"], data["dies"][0]
+    frame = data["package"]["frame"]
+    escape = data["package"]["escape_points"][0]
+    buffer = die["buffers"][0]
+    dwhere = f"dies[{die['id']}]"
+    fields = []
+    for holder, keys, where in (
+        (data["weights"], sorted(data["weights"]), "weights"),
+        (data["spacing"], sorted(data["spacing"]), "spacing"),
+        (inter, ("width", "height", "tsv_pitch"), "interposer"),
+        (die, ("width", "height", "bump_pitch"), dwhere),
+    ):
+        fields += [(holder, k, f"{where}.{k}") for k in keys]
+    fields += [(frame, i, f"package.frame[{i}]") for i in range(4)]
+    points = [
+        (escape, f"package.escape_points[{escape['id']}]"),
+        (buffer, f"{dwhere}.buffers[{buffer['id']}]"),
+    ]
+    for sites, where in (
+        (inter["tsvs"], "interposer.tsvs"),
+        (die["bumps"], f"{dwhere}.bumps"),
+    ):
+        if isinstance(sites, dict):
+            fields += [
+                (sites, k, f"{where}.{k}") for k in ("x0", "y0", "pitch")
+            ]
+        else:
+            points.append((sites[0], f"{where}[{sites[0]['id']}]"))
+    for point, where in points:
+        fields += [
+            (point["position"], a, f"{where}.position.{a}") for a in "xy"
+        ]
+    return fields
+
+
+def _mut_huge_int(data, rng):
+    holder, key, _ = rng.choice(_numeric_fields(data))
+    holder[key] = rng.choice([HUGE_INT, -HUGE_INT])
+    return "huge-int"
+
+
 MUTATORS = [
     _mut_nan_die_dim,
     _mut_negative_die_dim,
@@ -204,6 +254,7 @@ MUTATORS = [
     _mut_tsv_off_interposer,
     _mut_drop_all_tsvs,
     _mut_non_numeric_field,
+    _mut_huge_int,
 ]
 
 GRID_MUTATORS = [
@@ -234,11 +285,12 @@ def _mutate(data, rng, catalogue):
 
 def _expandable(data):
     """The fully explicit copy of ``data``, or None if a grid is broken
-    (a bad count or pitch has no expansion to compare with)."""
+    (a bad count or pitch, or an origin or pitch past the double range,
+    has no expansion to compare with)."""
     copy = json.loads(json.dumps(data))
     try:
         return explicit(copy)
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         return None
 
 
@@ -272,6 +324,21 @@ class TestLinterFuzz:
                 assert errors_of(lint_design(data)), (
                     f"{form} mutator {tag} produced no error diagnostics"
                 )
+
+    def test_huge_int_anywhere_is_nonfinite(self):
+        # Each numeric field alone, at +-HUGE_INT: the linter reports a
+        # geometry.nonfinite error there instead of raising.
+        for form in FORMS:
+            for index in range(len(_numeric_fields(_tiny(form)))):
+                for value in (HUGE_INT, -HUGE_INT):
+                    data = _tiny(form)
+                    holder, key, where = _numeric_fields(data)[index]
+                    holder[key] = value
+                    found = {(d.code, d.where) for d in lint_design(data)}
+                    assert ("geometry.nonfinite", where) in found, (
+                        f"{form} {where} = {'-' if value < 0 else ''}"
+                        f"HUGE_INT: {found}"
+                    )
 
     def test_grid_lints_like_its_expansion(self):
         # Whenever every grid still expands, the grid form and the
